@@ -143,6 +143,13 @@ object Calibration {
     */
   val OverloadAlpha: Double = 0.5
 
+  /** Fraction of the demanded work that gets done when `demand` CPU meets
+    * `capacity` CPU: 1 while demand fits, (C/D)^(1+OverloadAlpha) beyond.
+    */
+  def overloadScale(demand: Double, capacity: Double): Double =
+    if (demand <= capacity || demand <= 0) 1.0
+    else math.pow(capacity / demand, 1.0 + OverloadAlpha)
+
   /** End-to-end latency bound for the throughput metric (§VI-A): 5 s. */
   val LatencyBoundSec: Double = 5.0
 

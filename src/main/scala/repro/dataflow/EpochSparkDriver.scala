@@ -70,9 +70,7 @@ final class EpochSparkDriver(
     val ops = querySpec.ops
     val demand = fIntended * ops(0).costSecPerRec + localGr * ops(1).costSecPerRec
     val budget = budgetCores * Calibration.EpochSeconds
-    val scale =
-      if (demand <= budget || demand <= 0) 1.0
-      else math.pow(budget / demand, 1.0 + Calibration.OverloadAlpha)
+    val scale = Calibration.overloadScale(demand, budget)
 
     val proxies = Vector(
       ProxyObs(incoming = n.toDouble, intended = fIntended.toDouble, processed = fIntended * scale),

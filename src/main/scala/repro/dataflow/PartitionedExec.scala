@@ -5,20 +5,23 @@ import org.apache.spark.sql.functions._
 
 /** Data-level partitioned execution of the monitoring queries (paper §IV).
   *
-  * Each record draws a deterministic uniform `u ∈ [0,1)` from its record id.
-  * Because effective load factors are monotone (`e_1 ≥ e_2 ≥ … ≥ e_M`), a
-  * single draw implements the whole proxy chain: a record is processed by
-  * local operator `i` iff `u < e_i`, and a record with `e_{i+1} ≤ u < e_i`
-  * is drained to the stream processor *after* local operator `i` — exactly
-  * the per-proxy drain paths of Fig. 5.
+  * A query is a [[Chain]] of M operators: M−1 stages that keep the draw `u`
+  * of each record, then an aggregate split into a per-lane `partial` and a
+  * `merge` of all partials (count/sum/min/max merge losslessly — rule R-1
+  * of §IV-B). Each record draws a deterministic uniform `u ∈ [0,1)` from its
+  * record id. The control proxy in front of operator i keeps the records
+  * with `u < e_i` on the local (source) lane and drains the rest to the
+  * stream processor (SP), whose copy of the chain runs operators i..M on
+  * them — the per-proxy drain paths of Fig. 5. Effective load factors are
+  * non-increasing (`e_1 ≥ … ≥ e_M`), so one draw implements the whole chain
+  * and a record drained at proxy i has `e_i ≤ u < e_{i-1}`.
   *
-  * The source side of each plan is the narrow pre-shuffle stage (filter /
-  * parse / local join / per-source partial aggregates); the stream-processor
-  * side applies the operators a drained lane still needs and merges partial
-  * aggregation state (count/sum/min/max are incrementally mergeable — rule
-  * R-1 of §IV-B). The result is *identical* to the unpartitioned query for
-  * every monotone `e` — the losslessness Jarvis claims over data synopses —
-  * and the tests enforce that with DataFrame and DuckDB oracles.
+  * [[partitioned]] builds every plan. Its load factors are columns:
+  * constants for a global plan, per-record values joined from a per-source
+  * table for a per-source plan. The result is identical to the
+  * unpartitioned query for every non-increasing `e` — the losslessness
+  * Jarvis claims over data synopses — and the tests enforce that with
+  * DataFrame and DuckDB oracles.
   */
 object PartitionedExec {
 
@@ -28,18 +31,108 @@ object PartitionedExec {
   def uCol(recId: Column, seed: Long = 77L): Column =
     pmod(xxhash64(recId, lit(seed)), lit(UScale)) / lit(UScale.toDouble)
 
-  private def checkMonotone(e: Seq[Double]): Unit = {
+  /** A query as Jarvis partitions it. `stages(i)(df, carry)` runs operator
+    * i+1 and keeps the input columns named in `carry`; `partial` folds one
+    * lane into mergeable aggregation state and `merge` turns the union of
+    * all lanes' states into the query's output.
+    */
+  final case class Chain(
+      stages: Seq[(DataFrame, Seq[String]) => DataFrame],
+      partial: DataFrame => DataFrame,
+      merge: DataFrame => DataFrame,
+  ) {
+    def numOps: Int = stages.length + 1
+  }
+
+  /** Build the partitioned plan of `chain` over `input` under effective
+    * load factors `e`, one per operator. Every column of `input` that a
+    * load factor names travels with `u` along the local lane.
+    *
+    * Column equality is structural, so a drain band between two equal
+    * bounds (such as `lit(0.7)` twice) and a local lane below `lit(0.0)`
+    * are known to be empty and are not built.
+    */
+  def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long = 77L): DataFrame = {
+    require(e.length == chain.numOps, s"chain has ${chain.numOps} operators, got ${e.length} load factors")
+    val u = col("u")
+    val carry = "u" +: input.columns.filter(c => e.contains(col(c))).toSeq
+    val bounds = lit(1.0) +: e
+    var local: Option[DataFrame] = Some(input.withColumn("u", uCol(col("recId"), seed)))
+    var sp: Option[DataFrame] = None
+    for (i <- 0 until chain.numOps) {
+      val (hi, lo) = (bounds(i), bounds(i + 1))
+      if (hi != lo) {
+        val drained = local.map(_.filter(u >= lo).drop(carry: _*))
+        sp = (sp ++ drained).reduceOption(_ unionByName _)
+        local = local.map(_.filter(u < lo))
+      }
+      if (lo == lit(0.0)) local = None
+      if (i < chain.stages.length) {
+        local = local.map(chain.stages(i)(_, carry))
+        sp = sp.map(chain.stages(i)(_, Nil))
+      }
+    }
+    chain.merge((local ++ sp).map(chain.partial).reduce(_ unionByName _))
+  }
+
+  /** Build a per-source plan: each data source runs its own independently
+    * adapted plan (the fully decentralized runtimes of §IV-A). `key` names
+    * the column of `input` that identifies the source. Sources absent from
+    * `eBySource` drain everything (the Startup default).
+    */
+  def perSource(
+      input: DataFrame,
+      chain: Chain,
+      key: String,
+      eBySource: Map[Long, Seq[Double]],
+      seed: Long = 77L,
+  ): DataFrame = {
+    eBySource.values.foreach(checkPlan(chain, _))
+    val spark = input.sparkSession
+    import spark.implicits._
+    val names = (1 to chain.numOps).map(i => s"e$i")
+    val plans = eBySource.toSeq.toDF("plan_src", "plan_e")
+    val withE = input
+      .join(plans, col(key) === col("plan_src"), "left_outer")
+      .select(input.columns.toSeq.map(col) ++
+        names.indices.map(i => coalesce(col("plan_e")(i), lit(0.0)) as names(i)): _*)
+    partitioned(withE, chain, names.map(col), seed)
+  }
+
+  /** Fault-tolerance path (paper §IV-E): a failing data source leaves
+    * behind checkpointed partial aggregation state for the current window;
+    * the stream processor runs the chain on the replayed (unprocessed)
+    * records and merges both partial sets, so the recovered result equals
+    * the failure-free query.
+    *
+    * @param checkpointed records the source had already folded into its
+    *                     partial state before failing
+    * @param replayed     records replayed raw to the SP after the failure
+    */
+  def recover(chain: Chain, checkpointed: DataFrame, replayed: DataFrame): DataFrame = {
+    def state(records: DataFrame): DataFrame =
+      chain.partial(chain.stages.foldLeft(records)((df, stage) => stage(df, Nil)))
+    chain.merge(state(checkpointed).unionByName(state(replayed)))
+  }
+
+  private def checkPlan(chain: Chain, e: Seq[Double]): Unit = {
+    require(e.length == chain.numOps, s"chain has ${chain.numOps} operators, got e=$e")
     require(e.forall(x => x >= 0 && x <= 1), s"load factors out of range: $e")
     require(e.zip(e.drop(1)).forall { case (a, b) => a >= b - 1e-12 },
       s"effective load factors must be non-increasing: $e")
   }
 
+  private def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long): DataFrame = {
+    checkPlan(chain, e)
+    partitioned(input, chain, e.map(x => lit(x)), seed)
+  }
+
   // ------------------------------------------------------------------
-  // S2SProbe: ops = [F, G+R], e = (e1, e2)
+  // The three queries as chains
   // ------------------------------------------------------------------
 
-  private def s2sPartial(df: DataFrame): DataFrame =
-    df.groupBy(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp"))
+  private def rttPartial(keys: Column*)(records: DataFrame): DataFrame =
+    records.groupBy(keys: _*)
       .agg(
         count(lit(1)) as "p_cnt",
         sum("rtt") as "p_sum",
@@ -47,7 +140,7 @@ object PartitionedExec {
         min("rtt") as "p_min",
       )
 
-  private def mergePartials(partials: DataFrame, keys: Seq[String]): DataFrame =
+  private def rttMerge(keys: String*)(partials: DataFrame): DataFrame =
     partials
       .groupBy(keys.map(col): _*)
       .agg(
@@ -61,117 +154,6 @@ object PartitionedExec {
         col("max_rtt"), col("min_rtt"), col("cnt"),
       ): _*)
 
-  /** Execute S2SProbe under effective load factors `(e1, e2)`; the output
-    * matches [[Queries.s2sFull]] exactly.
-    */
-  def s2s(pings: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 2, "S2SProbe has 2 operators (F, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2) = e.toSeq
-    val u = uCol(col("recId"), seed)
-    val tagged = pings.withColumn("u", u)
-
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)                      // raw records
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    val localAgg = s2sPartial(Queries.pingFilter(tagged.filter(col("u") < e2)))
-
-    // Stream-processor side: complete the drained lanes, merge partials.
-    val spPartial = s2sPartial(Queries.pingFilter(drainedPreF).unionByName(drainedPostF))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcIp", "dstIp"))
-  }
-
-  /** Execute S2SProbe with *per-source* effective load factors — each data
-    * source node runs its own independently-adapted plan (the paper's fully
-    * decentralized runtimes, §IV-A). Sources absent from the map drain
-    * everything (the Startup default).
-    */
-  def s2sPerSource(
-      pings: DataFrame,
-      eBySource: Map[Long, (Double, Double)],
-      seed: Long = 77L,
-  ): DataFrame = {
-    eBySource.values.foreach { case (e1, e2) => checkMonotone(Seq(e1, e2)) }
-    val spark = pings.sparkSession
-    import spark.implicits._
-    val plans = eBySource.toSeq.map { case (s, (e1, e2)) => (s, e1, e2) }
-      .toDF("plan_src", "e1", "e2")
-    val tagged = pings
-      .withColumn("u", uCol(col("recId"), seed))
-      .join(plans, col("srcIp") === col("plan_src"), "left_outer")
-      .withColumn("e1", coalesce(col("e1"), lit(0.0)))
-      .withColumn("e2", coalesce(col("e2"), lit(0.0)))
-
-    val drainedPreF = tagged.filter(col("u") >= col("e1"))
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < col("e1") && col("u") >= col("e2")))
-    val localAgg = s2sPartial(Queries.pingFilter(tagged.filter(col("u") < col("e2"))))
-    val spPartial = s2sPartial(Queries.pingFilter(drainedPreF).unionByName(drainedPostF))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcIp", "dstIp"))
-  }
-
-  /** Fault-tolerance path (paper §IV-E): a failing data source leaves
-    * behind checkpointed partial aggregation state for the current window;
-    * the stream processor aggregates the replayed (unprocessed) records and
-    * merges both partial sets. Count/sum/min/max merge losslessly, so the
-    * recovered result equals the failure-free query.
-    *
-    * @param checkpointed records the source had already folded into its
-    *                     partial state before failing
-    * @param replayed     records replayed raw to the SP after the failure
-    */
-  def s2sRecoverFromCheckpoint(checkpointed: DataFrame, replayed: DataFrame): DataFrame = {
-    val checkpointState = s2sPartial(Queries.pingFilter(checkpointed))
-    val spState = s2sPartial(Queries.pingFilter(replayed))
-    mergePartials(checkpointState.unionByName(spState), Seq("win", "srcIp", "dstIp"))
-  }
-
-  // ------------------------------------------------------------------
-  // T2TProbe: ops = [F, J, G+R], e = (e1, e2, e3)
-  // ------------------------------------------------------------------
-
-  private def t2tPartial(joined: DataFrame): DataFrame =
-    joined
-      .groupBy(col("win"), col("srcTor"), col("dstTor"))
-      .agg(
-        count(lit(1)) as "p_cnt",
-        sum("rtt") as "p_sum",
-        max("rtt") as "p_max",
-        min("rtt") as "p_min",
-      )
-
-  /** Execute T2TProbe under effective load factors `(e1, e2, e3)`; the
-    * output matches [[Queries.t2tFull]] exactly. The static ToR table is
-    * available on both sides, as in the paper.
-    */
-  def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 3, "T2TProbe has 3 operators (F, J, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2, e3) = e.toSeq
-    val tagged = pings.withColumn("u", uCol(col("recId"), seed))
-
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    // Local join with u carried through, so the post-J drain lane (e3 ≤ u
-    // < e2) can split from the locally aggregated lane (u < e3).
-    val preJ = Queries.pingFilter(tagged.filter(col("u") < e2))
-    val joinedAll = preJ
-      .join(tor.select(col("ip") as "s_ip", col("tor") as "srcTor"), col("srcIp") === col("s_ip"))
-      .join(tor.select(col("ip") as "d_ip", col("tor") as "dstTor"), col("dstIp") === col("d_ip"))
-      .select(Queries.winCol(col("ts")) as "win", col("srcTor"), col("dstTor"), col("rtt"), col("u"))
-    val drainedPostJ = joinedAll.filter(col("u") >= e3).drop("u")
-    val localAgg = t2tPartial(joinedAll.filter(col("u") < e3))
-
-    // Stream-processor side.
-    val spJoined = Queries.torJoin(Queries.pingFilter(drainedPreF).unionByName(drainedPostF), tor)
-    val spPartial = t2tPartial(spJoined.unionByName(drainedPostJ))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcTor", "dstTor"))
-  }
-
-  // ------------------------------------------------------------------
-  // LogAnalytics: ops = [F, M, G+R], e = (e1, e2, e3)
-  // ------------------------------------------------------------------
-
   private def logPartial(parsed: DataFrame): DataFrame =
     parsed
       .groupBy(col("win"), col("tenant"), col("bucket"))
@@ -180,39 +162,6 @@ object PartitionedExec {
         sum("cpu") as "p_sum_cpu",
         sum("mem") as "p_sum_mem",
       )
-
-  /** Execute LogAnalytics under effective load factors `(e1, e2, e3)`; the
-    * output matches [[Queries.logFull]] exactly.
-    */
-  def log(lines: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 3, "LogAnalytics has 3 operators (F, M, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2, e3) = e.toSeq
-    val tagged = lines.withColumn("u", uCol(col("recId"), seed))
-
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)                        // raw lines
-    val drainedPostF = Queries.logFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    val postF = Queries.logFilter(tagged.filter(col("u") < e2))
-    // Local parse with u carried through, so the post-M drain lane (e3 ≤ u
-    // < e2) can split from the locally aggregated lane (u < e3).
-    val parsed = postF
-      .select(col("u"),
-        Queries.winCol(regexp_extract(col("raw"), "ts=(\\d+)", 1).cast("long")) as "win",
-        regexp_extract(col("raw"), "tenant=(t\\d+)", 1) as "tenant",
-        (regexp_extract(col("raw"), "lat_ms=(\\d+)", 1).cast("long") / 100).cast("long") as "bucket",
-        regexp_extract(col("raw"), "cpu=([\\d.]+)", 1).cast("double") as "cpu",
-        regexp_extract(col("raw"), "mem=(\\d+)", 1).cast("long") as "mem",
-      )
-    val drainedPostM = parsed.filter(col("u") >= e3).drop("u")
-    val localAgg = logPartial(parsed.filter(col("u") < e3))
-
-    // Stream-processor side.
-    val spParsed = Queries.logParse(Queries.logFilter(drainedPreF).unionByName(drainedPostF))
-    val spPartial = logPartial(spParsed.unionByName(drainedPostM))
-
-    logMerge(localAgg.unionByName(spPartial))
-  }
 
   private def logMerge(partials: DataFrame): DataFrame =
     partials
@@ -227,4 +176,49 @@ object PartitionedExec {
         (col("s_cpu") / col("cnt")) as "avg_cpu",
         (col("s_mem") / col("cnt")) as "avg_mem",
       )
+
+  /** S2SProbe: F → G+R; the output matches [[Queries.s2sFull]]. */
+  val s2sChain: Chain = Chain(
+    Seq((df, _) => Queries.pingFilter(df)),
+    rttPartial(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp")),
+    rttMerge("win", "srcIp", "dstIp"),
+  )
+
+  /** T2TProbe: F → J → G+R; the output matches [[Queries.t2tFull]]. The
+    * static ToR table is available on both sides, as in the paper.
+    */
+  def t2tChain(tor: DataFrame): Chain = Chain(
+    Seq((df, _) => Queries.pingFilter(df), Queries.torJoin(_, tor, _)),
+    rttPartial(col("win"), col("srcTor"), col("dstTor")),
+    rttMerge("win", "srcTor", "dstTor"),
+  )
+
+  /** LogAnalytics: F → M → G+R; the output matches [[Queries.logFull]]. */
+  val logChain: Chain = Chain(
+    Seq((df, _) => Queries.logFilter(df), Queries.logParse),
+    logPartial,
+    logMerge,
+  )
+
+  /** S2SProbe under global effective load factors `(e1, e2)`. */
+  def s2s(pings: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
+    global(pings, s2sChain, e, seed)
+
+  /** T2TProbe under global effective load factors `(e1, e2, e3)`. */
+  def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
+    global(pings, t2tChain(tor), e, seed)
+
+  /** LogAnalytics under global effective load factors `(e1, e2, e3)`. */
+  def log(lines: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
+    global(lines, logChain, e, seed)
+
+  /** S2SProbe with per-source effective load factors `(e1, e2)`, keyed by
+    * `srcIp`.
+    */
+  def s2sPerSource(
+      pings: DataFrame,
+      eBySource: Map[Long, (Double, Double)],
+      seed: Long = 77L,
+  ): DataFrame =
+    perSource(pings, s2sChain, "srcIp", eBySource.map { case (s, (e1, e2)) => s -> Seq(e1, e2) }, seed)
 }

@@ -48,13 +48,15 @@ object Queries {
   // ------------------------------------------------------------------
 
   /** The join operator: attach src/dst ToR ids and project down to the
-    * fields the aggregation needs (§VI-B: the projection shrinks records).
+    * fields the aggregation needs (§VI-B: the projection shrinks records),
+    * plus the input columns named in `carry`.
     */
-  def torJoin(pings: DataFrame, tor: DataFrame): DataFrame =
+  def torJoin(pings: DataFrame, tor: DataFrame, carry: Seq[String] = Nil): DataFrame =
     pings
       .join(tor.select(col("ip") as "s_ip", col("tor") as "srcTor"), col("srcIp") === col("s_ip"))
       .join(tor.select(col("ip") as "d_ip", col("tor") as "dstTor"), col("dstIp") === col("d_ip"))
-      .select(winCol(col("ts")) as "win", col("srcTor"), col("dstTor"), col("rtt"))
+      .select(Seq(winCol(col("ts")) as "win", col("srcTor"), col("dstTor"), col("rtt")) ++
+        carry.map(col): _*)
 
   def t2tFull(pings: DataFrame, tor: DataFrame): DataFrame =
     torJoin(pingFilter(pings), tor)
@@ -90,17 +92,17 @@ object Queries {
     lines.filter(col("raw").startsWith("ts=") && col("raw").contains(" lat_ms="))
 
   /** The map operator: parse a raw line into JobStats fields and bucketize
-    * latency into 100 ms bins.
+    * latency into 100 ms bins, keeping the input columns named in `carry`.
     */
-  def logParse(lines: DataFrame): DataFrame =
-    lines.select(
+  def logParse(lines: DataFrame, carry: Seq[String] = Nil): DataFrame =
+    lines.select(Seq(
       winCol(regexp_extract(col("raw"), "ts=(\\d+)", 1).cast(LongType)) as "win",
       regexp_extract(col("raw"), "tenant=(t\\d+)", 1) as "tenant",
       (regexp_extract(col("raw"), "lat_ms=(\\d+)", 1).cast(LongType) / 100)
         .cast(LongType) as "bucket",
       regexp_extract(col("raw"), "cpu=([\\d.]+)", 1).cast(DoubleType) as "cpu",
       regexp_extract(col("raw"), "mem=(\\d+)", 1).cast(LongType) as "mem",
-    )
+    ) ++ carry.map(col): _*)
 
   def logFull(lines: DataFrame): DataFrame =
     logParse(logFilter(lines))

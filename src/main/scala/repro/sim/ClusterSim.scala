@@ -55,9 +55,7 @@ object ClusterSim {
       in = ops(i).outRecsPerSec(intendedFwd(i))
     }
 
-    val scale =
-      if (demand <= budgetCores || demand <= 0) 1.0
-      else math.pow(budgetCores / demand, 1.0 + Calibration.OverloadAlpha)
+    val scale = Calibration.overloadScale(demand, budgetCores)
 
     if (!drainsOverflow) {
       // All-Src: unprocessable records backlog; sustained input = processed.

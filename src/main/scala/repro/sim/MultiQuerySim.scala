@@ -41,9 +41,7 @@ object MultiQuerySim {
       perQueryInputMbps: Double,
   ): MultiQueryResult = {
     val demand = nQueries * (perQueryDemandCores + PerQueryOverheadCores)
-    val scale =
-      if (demand <= cores || demand <= 0) 1.0
-      else math.pow(cores / demand, 1.0 + Calibration.OverloadAlpha)
+    val scale = Calibration.overloadScale(demand, cores)
     MultiQueryResult(
       cores = cores,
       nQueries = nQueries,

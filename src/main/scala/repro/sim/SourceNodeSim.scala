@@ -22,7 +22,7 @@ final class Lcg(seed: Long) {
   * Per epoch: records arrive at the configured rate, each control proxy
   * forwards `p_i` of its incoming records to the local operator and drains
   * the rest; when the summed demand exceeds the CPU budget, effective
-  * processing degrades super-linearly ((C/D)^(1+α), Calibration.OverloadAlpha)
+  * processing degrades super-linearly ((C/D)^(1+α), Calibration.overloadScale)
   * and unprocessed records are force-drained so the epoch's latency bound
   * holds. Conditions (budget, rate, operator costs) are mutable so scenarios
   * can change them mid-run.
@@ -74,9 +74,7 @@ final class SourceNodeSim(
     }
     val demand = (0 until numOps).map(i => intendedFwd(i) * ops(i).costSecPerRec).sum
     val budget = budgetCores * epoch
-    val scale =
-      if (demand <= budget || demand <= 0) 1.0
-      else math.pow(budget / demand, 1.0 + Calibration.OverloadAlpha)
+    val scale = Calibration.overloadScale(demand, budget)
 
     // Pass 2: effective flow under the processing scale; shortfall at each
     // proxy is force-drained (compounding downstream, as backpressure does).

@@ -1,5 +1,7 @@
 package repro.dataflow
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.Join
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{DfCompare, Oracle, PropHelpers, SparkSpec}
@@ -108,6 +110,50 @@ class PartitionedExecSpec extends SparkSpec {
     }
   }
 
+  test("T2TProbe per-source plans: heterogeneous load factors are lossless") {
+    val plans = Map(
+      0L -> Seq(1.0, 1.0, 1.0),   // everything local
+      1L -> Seq(0.0, 0.0, 0.0),   // everything drained
+      2L -> Seq(1.0, 0.5, 0.5),   // J on half the filtered stream
+      3L -> Seq(0.8, 0.6, 0.2),   // source 4 unmapped
+    )
+    DfCompare.assertSameRows(
+      PartitionedExec.perSource(pings, PartitionedExec.t2tChain(tor), "srcIp", plans), t2tRef,
+      "t2t per-source")
+  }
+
+  test("T2TProbe per-source plans: sources missing from the map default to All-SP") {
+    val plans = Map(2L -> Seq(1.0, 1.0, 0.3)) // sources 0, 1, 3, 4 unmapped
+    DfCompare.assertSameRows(
+      PartitionedExec.perSource(pings, PartitionedExec.t2tChain(tor), "srcIp", plans), t2tRef,
+      "t2t per-source defaults")
+  }
+
+  test("T2TProbe per-source plans match DuckDB directly") {
+    val plans = Map(0L -> Seq(0.9, 0.6, 0.3), 1L -> Seq(1.0, 0.2, 0.0), 3L -> Seq(1.0, 1.0, 1.0))
+    Oracle.assertEquivalent(
+      PartitionedExec.perSource(pings, PartitionedExec.t2tChain(tor), "srcIp", plans),
+      Queries.t2tSql, "pings" -> pings, "tormap" -> tor)
+  }
+
+  test("LogAnalytics per-source plans: heterogeneous load factors are lossless") {
+    val plans = Map(
+      0L -> Seq(1.0, 1.0, 1.0),
+      1L -> Seq(0.7, 0.5, 0.1),
+      2L -> Seq(1.0, 1.0, 0.0),   // source 3 unmapped
+    )
+    DfCompare.assertSameRows(
+      PartitionedExec.perSource(lines, PartitionedExec.logChain, "sourceId", plans), logRef,
+      "log per-source")
+  }
+
+  test("LogAnalytics per-source plans: sources missing from the map default to All-SP") {
+    val plans = Map(1L -> Seq(1.0, 0.4, 0.4)) // sources 0, 2, 3 unmapped
+    DfCompare.assertSameRows(
+      PartitionedExec.perSource(lines, PartitionedExec.logChain, "sourceId", plans), logRef,
+      "log per-source defaults")
+  }
+
   // ------------------------------------------------------------------
   // T2TProbe
   // ------------------------------------------------------------------
@@ -187,16 +233,61 @@ class PartitionedExecSpec extends SparkSpec {
     val processedBeforeFailure = pings.filter(col("ts") < failAtMs)
     val replayedAfterFailure = pings.filter(col("ts") >= failAtMs)
     assert(processedBeforeFailure.count() > 0 && replayedAfterFailure.count() > 0)
-    val recovered = PartitionedExec.s2sRecoverFromCheckpoint(
+    val recovered = PartitionedExec.recover(PartitionedExec.s2sChain,
       processedBeforeFailure, replayedAfterFailure)
     DfCompare.assertSameRows(recovered, s2sRef, "fault recovery")
   }
 
   test("recovery with an empty checkpoint degenerates to All-SP") {
     import org.apache.spark.sql.functions.lit
-    val recovered = PartitionedExec.s2sRecoverFromCheckpoint(pings.filter(lit(false)), pings)
+    val recovered = PartitionedExec.recover(PartitionedExec.s2sChain, pings.filter(lit(false)), pings)
     DfCompare.assertSameRows(recovered, s2sRef, "empty checkpoint")
   }
+
+  test("T2TProbe source failure mid-window: checkpointed partials + replay recover exactly") {
+    val failAtMs = 10500L
+    val recovered = PartitionedExec.recover(PartitionedExec.t2tChain(tor),
+      pings.filter(col("ts") < failAtMs), pings.filter(col("ts") >= failAtMs))
+    DfCompare.assertSameRows(recovered, t2tRef, "t2t fault recovery")
+  }
+
+  test("LogAnalytics source failure mid-window: checkpointed partials + replay recover exactly") {
+    val failAtMs = 10500L
+    val before = lines.filter(col("ts") < failAtMs)
+    val after = lines.filter(col("ts") >= failAtMs)
+    assert(before.count() > 0 && after.count() > 0)
+    DfCompare.assertSameRows(PartitionedExec.recover(PartitionedExec.logChain, before, after),
+      logRef, "log fault recovery")
+  }
+
+  // ------------------------------------------------------------------
+  // Plan shape: a lane whose load-factor band is empty is not built
+  // ------------------------------------------------------------------
+
+  /** Scans of the record input and joins in the optimized plan. */
+  private def shape(df: DataFrame): (Int, Int) = {
+    val plan = df.queryExecution.optimizedPlan
+    (plan.collectLeaves().count(_.output.exists(_.name == "recId")),
+      plan.collect { case j: Join => j }.size)
+  }
+
+  // (query, plan, e, build, (input scans, joins))
+  private val shapes = Seq[(String, String, Seq[Double], Seq[Double] => DataFrame, (Int, Int))](
+    ("S2SProbe", "All-SP", Seq(0.0, 0.0), PartitionedExec.s2s(pings, _), (1, 0)),
+    ("S2SProbe", "All-Src", Seq(1.0, 1.0), PartitionedExec.s2s(pings, _), (1, 0)),
+    ("S2SProbe", "a repeated", Seq(0.7, 0.7), PartitionedExec.s2s(pings, _), (2, 0)),
+    ("T2TProbe", "All-SP", Seq(0.0, 0.0, 0.0), PartitionedExec.t2t(pings, tor, _), (1, 2)),
+    ("T2TProbe", "All-Src", Seq(1.0, 1.0, 1.0), PartitionedExec.t2t(pings, tor, _), (1, 2)),
+    ("T2TProbe", "a repeated", Seq(1.0, 0.5, 0.5), PartitionedExec.t2t(pings, tor, _), (2, 4)),
+    ("LogAnalytics", "All-SP", Seq(0.0, 0.0, 0.0), PartitionedExec.log(lines, _), (1, 0)),
+    ("LogAnalytics", "All-Src", Seq(1.0, 1.0, 1.0), PartitionedExec.log(lines, _), (1, 0)),
+    ("LogAnalytics", "a repeated", Seq(1.0, 1.0, 0.0), PartitionedExec.log(lines, _), (1, 0)),
+  )
+
+  for ((q, at, e, build, expected) <- shapes)
+    test(s"$q at $at plan e=${e.mkString("(", ",", ")")} builds no empty lane") {
+      assert(shape(build(e)) == expected, "(input scans, joins)")
+    }
 
   // ------------------------------------------------------------------
   // The u draw
