@@ -11,6 +11,8 @@ package repro.core.adapt
   */
 final case class ProxyObs(incoming: Double, intended: Double, processed: Double) {
   def forcedDrain: Double = math.max(0.0, intended - processed)
+  /** Records that left for the SP: the planned drain plus the forced one. */
+  def drained: Double = (incoming - intended) + (intended - processed)
 }
 
 /** Observation of the whole query pipeline over one epoch.

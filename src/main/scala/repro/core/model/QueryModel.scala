@@ -1,5 +1,7 @@
 package repro.core.model
 
+import repro.core.adapt.{EpochObs, ProxyObs}
+
 /** Kind of a stream operator in a monitoring query DAG (paper §II-A).
   *
   * The Window assigner carries no per-record compute cost and is folded into
@@ -114,6 +116,59 @@ final case class QuerySpec(
       .scanLeft(inputRate)((r, i) => ops(i).outRecsPerSec(r))
       .map(r => if (inputRate <= 0) 0.0 else r / inputRate)
       .toVector
+
+  /** Record relays rho_i = R_(i+1)/R_i at a rate (length M): the output
+    * records per input record of each operator on the stream it sees when
+    * all load factors are 1.
+    */
+  def recRelaysAt(inputRate: Double): Vector[Double] = {
+    val prods = recProducts(inputRate)
+    Vector.tabulate(numOps)(i => if (prods(i) <= 0) 0.0 else prods(i + 1) / prods(i))
+  }
+
+  /** Record flow of one epoch through the control proxies (paper §IV-A,
+    * §IV-C, Fig. 5) — the one performance model behind the epoch simulator
+    * and the cluster model.
+    *
+    * The proxy in front of operator i forwards `p(i)` of its incoming
+    * records to the operator and drains the rest. The planned pass sums the
+    * CPU demand of the forwarded records. When it exceeds `capacity`, only
+    * the fraction `Calibration.overloadScale(demand, capacity)` of the
+    * forwarded records gets processed; the effective pass applies that
+    * scale at every proxy and force-drains the shortfall, which compounds
+    * downstream as backpressure does. Drains are charged at the operator's
+    * input record size; output bytes are the last operator's output.
+    *
+    * @param p         load factor of each proxy
+    * @param inputRecs records entering the first proxy
+    * @param capacity  CPU-seconds available for them
+    */
+  def flow(p: Vector[Double], inputRecs: Double, capacity: Double): EpochObs = {
+    require(p.length == numOps, "load factor arity mismatch")
+    // Index loops, not zip/map/sum: the simulator calls this every epoch,
+    // and with those combinators a runtime step took twice as long.
+    var in = inputRecs
+    var demand = 0.0
+    var i = 0
+    while (i < numOps) {
+      demand += p(i) * in * ops(i).costSecPerRec
+      in = ops(i).outRecsPerSec(p(i) * in)
+      i += 1
+    }
+    val scale = Calibration.overloadScale(demand, capacity)
+    val proxies = Vector.newBuilder[ProxyObs]
+    var drainedBytes = 0.0
+    in = inputRecs
+    i = 0
+    while (i < numOps) {
+      val px = ProxyObs(in, p(i) * in, p(i) * in * scale)
+      proxies += px
+      drainedBytes += px.drained * ops(i).bytesInPerRec
+      in = ops(i).outRecsPerSec(px.processed)
+      i += 1
+    }
+    EpochObs(proxies.result(), demand, capacity, drainedBytes, in * ops.last.bytesOutPerRec)
+  }
 
   /** Wire bytes per record at the input of each operator (length M). */
   def bytesAtOp: Vector[Double] = ops.map(_.bytesInPerRec)

@@ -88,16 +88,11 @@ object PartitionStrategy {
     val name = "Jarvis"
     def effectiveLoadFactors(q: QuerySpec, budgetCores: Double, inputRate: Double): Vector[Double] =
       if (inputRate <= 0) Vector.fill(q.numOps)(1.0)
-      else {
-        val costs = q.ops.map(_.costSecPerRec)
-        val relays = q.recProducts(inputRate)
-        val rho = Vector.tabulate(q.numOps) { i =>
-          if (relays(i) <= 0) 0.0 else relays(i + 1) / relays(i)
-        }
+      else
         LoadFactorLP
-          .solve(costs, rho, q.bytesAtOp, budgetCores / inputRate)
+          .solve(q.ops.map(_.costSecPerRec), q.recRelaysAt(inputRate), q.bytesAtOp,
+            budgetCores / inputRate)
           .e
-      }
   }
 
   val all: Vector[PartitionStrategy] = Vector(AllSp, AllSrc, FilterSrc, BestOp, LbDp, Jarvis)

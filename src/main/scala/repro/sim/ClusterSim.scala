@@ -43,53 +43,24 @@ object ClusterSim {
       drainsOverflow: Boolean,
   ): SourcePerf = {
     val p = LoadFactorLP.eToP(e)
-    val ops = q.ops
-
-    // Intended flow and demand.
-    var in = inputRate
-    var demand = 0.0
-    val intendedFwd = new Array[Double](q.numOps)
-    for (i <- 0 until q.numOps) {
-      intendedFwd(i) = p(i) * in
-      demand += intendedFwd(i) * ops(i).costSecPerRec
-      in = ops(i).outRecsPerSec(intendedFwd(i))
-    }
-
-    val scale = Calibration.overloadScale(demand, budgetCores)
+    val obs = q.flow(p, inputRate, budgetCores)
 
     if (!drainsOverflow) {
       // All-Src: unprocessable records backlog; sustained input = processed.
-      val sustained = inputRate * scale
-      var r = sustained
-      for (i <- 0 until q.numOps) r = ops(i).outRecsPerSec(p(i) * r)
-      val outMbps = r * ops.last.bytesOutPerRec * 8 / 1e6
-      return SourcePerf(outMbps, demand, sustained, 0.0, e)
+      val sustained = inputRate * Calibration.overloadScale(obs.cpuDemand, budgetCores)
+      val outMbps = q.flow(p, sustained, Double.PositiveInfinity).outputBytes * 8 / 1e6
+      return SourcePerf(outMbps, obs.cpuDemand, sustained, 0.0, e)
     }
 
     // Drain-capable: shortfall force-drains; all input leaves the node.
-    var drainedBytes = 0.0
-    var spDemand = 0.0
     // Remaining per-record SP cost from operator i to the end, accounting
     // for record relays along the rest of the chain.
-    val remainingCost = Array.fill(q.numOps + 1)(0.0)
-    for (i <- (q.numOps - 1) to 0 by -1)
-      remainingCost(i) = ops(i).costSecPerRec + ops(i).recRelay * remainingCost(i + 1)
-
-    in = inputRate
-    for (i <- 0 until q.numOps) {
-      val intended = p(i) * in
-      val processed = intended * scale
-      val drained = (in - intended) + (intended - processed)
-      drainedBytes += drained * ops(i).bytesInPerRec
-      spDemand += drained * remainingCost(i)
-      in = ops(i).outRecsPerSec(processed)
-    }
-    val outputBytes = in * ops.last.bytesOutPerRec
+    val remainingCost = q.ops.scanRight(0.0)((op, rest) => op.costSecPerRec + op.recRelay * rest)
     SourcePerf(
-      netMbps = (drainedBytes + outputBytes) * 8 / 1e6,
-      cpuDemandCores = demand,
+      netMbps = (obs.drainedBytes + obs.outputBytes) * 8 / 1e6,
+      cpuDemandCores = obs.cpuDemand,
       processLimitRecsPerSec = inputRate,
-      spDemandCores = spDemand,
+      spDemandCores = obs.proxies.lazyZip(remainingCost).map(_.drained * _).sum,
       e = e,
     )
   }

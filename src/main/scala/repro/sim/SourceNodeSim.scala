@@ -19,13 +19,10 @@ final class Lcg(seed: Long) {
   * node — the substrate substituting for the paper's MiNiFi agent on a
   * t2.micro (DESIGN.md §2).
   *
-  * Per epoch: records arrive at the configured rate, each control proxy
-  * forwards `p_i` of its incoming records to the local operator and drains
-  * the rest; when the summed demand exceeds the CPU budget, effective
-  * processing degrades super-linearly ((C/D)^(1+α), Calibration.overloadScale)
-  * and unprocessed records are force-drained so the epoch's latency bound
-  * holds. Conditions (budget, rate, operator costs) are mutable so scenarios
-  * can change them mid-run.
+  * Per epoch, the configured rate of records flows through the control
+  * proxies under the CPU budget as [[QuerySpec.flow]] models it: planned
+  * drains, super-linear overload and forced drains. Conditions (budget,
+  * rate, operator costs) are mutable so scenarios can change them mid-run.
   *
   * Profiling (paper §IV-C "Profile") runs each operator in a budget slice
   * of the epoch; when the slice processes only a fraction of the operator's
@@ -56,53 +53,8 @@ final class SourceNodeSim(
   def observedByteRelays: Vector[Double] = querySpec.byteRelays(math.max(inputRecsPerSec, 1.0))
 
   def runEpoch(p: Vector[Double]): EpochObs = {
-    require(p.length == numOps, "load factor arity mismatch")
     val epoch = Calibration.EpochSeconds
-    val n = inputRecsPerSec * epoch
-    val ops = querySpec.ops
-
-    // Pass 1: intended flow (everything forwarded gets processed).
-    val intendedIn = new Array[Double](numOps)
-    val intendedFwd = new Array[Double](numOps)
-    var in = n
-    var i = 0
-    while (i < numOps) {
-      intendedIn(i) = in
-      intendedFwd(i) = p(i) * in
-      in = ops(i).outRecsPerSec(intendedFwd(i))
-      i += 1
-    }
-    val demand = (0 until numOps).map(i => intendedFwd(i) * ops(i).costSecPerRec).sum
-    val budget = budgetCores * epoch
-    val scale = Calibration.overloadScale(demand, budget)
-
-    // Pass 2: effective flow under the processing scale; shortfall at each
-    // proxy is force-drained (compounding downstream, as backpressure does).
-    val incoming = new Array[Double](numOps)
-    val intended = new Array[Double](numOps)
-    val processed = new Array[Double](numOps)
-    var drainedBytes = 0.0
-    in = n
-    i = 0
-    while (i < numOps) {
-      incoming(i) = in
-      intended(i) = p(i) * in
-      processed(i) = intended(i) * scale
-      val plannedDrain = in - intended(i)
-      val forcedDrain = intended(i) - processed(i)
-      drainedBytes += (plannedDrain + forcedDrain) * ops(i).bytesInPerRec
-      in = ops(i).outRecsPerSec(processed(i))
-      i += 1
-    }
-    val outputBytes = in * ops.last.bytesOutPerRec
-
-    EpochObs(
-      proxies = Vector.tabulate(numOps)(i => ProxyObs(incoming(i), intended(i), processed(i))),
-      cpuDemand = demand,
-      cpuBudget = budget,
-      drainedBytes = drainedBytes,
-      outputBytes = outputBytes,
-    )
+    querySpec.flow(p, inputRecsPerSec * epoch, budgetCores * epoch)
   }
 
   def runProfileEpoch(): ProfileEstimates = {
@@ -119,13 +71,9 @@ final class SourceNodeSim(
       val bias = profileNoiseMag * (1.0 - accuracy) * (0.7 + 0.3 * rng.next())
       c * (1.0 - bias)
     }
-    val rho = {
-      val prods = querySpec.recProducts(math.max(inputRecsPerSec, 1.0))
-      Vector.tabulate(numOps)(i => if (prods(i) <= 0) 0.0 else prods(i + 1) / prods(i))
-    }
     ProfileEstimates(
       costs = costs,
-      recRelays = rho,
+      recRelays = querySpec.recRelaysAt(math.max(inputRecsPerSec, 1.0)),
       bytesAtOp = querySpec.bytesAtOp,
       budgetPerRec = budgetCores / math.max(inputRecsPerSec, 1.0),
     )

@@ -97,6 +97,16 @@ class StrategySpec extends AnyFunSuite {
       Set("All-SP", "All-Src", "Filter-Src", "Best-OP", "LB-DP", "Jarvis"))
   }
 
+  test("the flow model gives the reference demand and drains of every strategy's plan") {
+    for (budget <- Seq(0.2, 0.4, 0.6, 0.8, 1.0); q <- Seq(s2s, t2t, log); s <- PartitionStrategy.all) {
+      val rate = q.inputRecsPerSec
+      val e = s.effectiveLoadFactors(q, budget, rate)
+      val obs = q.flow(LoadFactorLP.eToP(e), rate, Double.PositiveInfinity)
+      assert(obs.cpuDemand == planDemand(q, e, rate), s"${q.name}@$budget ${s.name}")
+      assert(obs.drainedBytes == planDrainBytes(q, e, rate), s"${q.name}@$budget ${s.name}")
+    }
+  }
+
   // Helpers mirroring the simulator's flow arithmetic on intended plans.
   private def planDemand(q: repro.core.model.QuerySpec, e: Vector[Double], rate: Double): Double = {
     val p = LoadFactorLP.eToP(e)

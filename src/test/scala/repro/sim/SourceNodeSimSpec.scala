@@ -2,7 +2,8 @@ package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.adapt.PipelineState
-import repro.core.model.Calibration
+import repro.core.lp.LoadFactorLP
+import repro.core.model.{Calibration, QuerySpec}
 
 /** Tests for the epoch-level data-source simulator. */
 class SourceNodeSimSpec extends AnyFunSuite {
@@ -97,6 +98,61 @@ class SourceNodeSimSpec extends AnyFunSuite {
     s.setSpec(Calibration.t2tProbe(500))
     assert(s.spec.ops(1).costSecPerRec > Calibration.t2tProbe(50).ops(1).costSecPerRec)
     intercept[IllegalArgumentException] { s.setSpec(Calibration.s2sProbe) }
+  }
+
+  // ------------------------------------------------------------------
+  // Flow model on every calibrated query
+  // ------------------------------------------------------------------
+
+  /** Every non-increasing effective load-factor vector over a few levels,
+    * All-SP and All-Src included.
+    */
+  private def eGrid(m: Int): Seq[Vector[Double]] = {
+    val levels = Seq(1.0, 0.65, 0.3, 0.0)
+    (1 until m).foldLeft(levels.map(Vector(_))) { (es, _) =>
+      for (e <- es; x <- levels if x <= e.last) yield e :+ x
+    }
+  }
+
+  /** (query, budget, e, observed epoch) over the calibrated queries, three
+    * budgets from starved to a full core, and the e grid.
+    */
+  private val flowCases =
+    for {
+      q <- Seq(Calibration.s2sProbe, Calibration.t2tProbe(), Calibration.logAnalytics)
+      budget <- Seq(0.05, 0.4, 1.0)
+      e <- eGrid(q.numOps)
+    } yield (q, budget, e,
+      new SourceNodeSim(q, budget, q.inputRecsPerSec).runEpoch(LoadFactorLP.eToP(e)))
+
+  private def label(q: QuerySpec, budget: Double, e: Vector[Double]) = s"${q.name}@$budget e=$e"
+
+  test("flow conserves records at every proxy of every calibrated query") {
+    for ((q, budget, e, obs) <- flowCases; px <- obs.proxies)
+      assert(px.processed <= px.intended && px.intended <= px.incoming, s"${label(q, budget, e)}: $px")
+  }
+
+  test("flow: each proxy receives the upstream operator's output of the processed records") {
+    for ((q, budget, e, obs) <- flowCases; i <- 1 until q.numOps)
+      assert(obs.proxies(i).incoming == q.ops(i - 1).outRecsPerSec(obs.proxies(i - 1).processed),
+        label(q, budget, e))
+  }
+
+  test("flow: drained bytes are the per-proxy drains at each operator's input size") {
+    for ((q, budget, e, obs) <- flowCases) {
+      val perProxy = obs.proxies.zip(q.ops).map { case (px, op) =>
+        (px.incoming - px.processed) * op.bytesInPerRec
+      }.sum
+      assert(math.abs(obs.drainedBytes - perProxy) <= 1e-9 * math.max(perProxy, 1.0), label(q, budget, e))
+    }
+  }
+
+  test("simulator and cluster model agree on demand and wire bytes") {
+    for ((q, budget, e, obs) <- flowCases) {
+      val perf = ClusterSim.sourcePerf(q, e, budget, q.inputRecsPerSec, drainsOverflow = true)
+      assert(perf.cpuDemandCores == obs.cpuDemand, label(q, budget, e))
+      assert(perf.netMbps == (obs.drainedBytes + obs.outputBytes) * 8 / 1e6, label(q, budget, e))
+    }
   }
 
   // ------------------------------------------------------------------
