@@ -114,12 +114,6 @@ object Calibration {
     */
   val PerQueryLinkMbps: Double = 10000.0 / 20
 
-  /** Stream-processor cores available per query (m5a.16xlarge, 64 cores,
-    * 20 queries) — the steady-state share under the paper's network
-    * assumptions.
-    */
-  val SpCoresPerQuery: Double = 64.0 / 20
-
   /** SP cores available in the multi-source scaling experiments (Fig. 10):
     * one query under test on the 64-core m5a.16xlarge, ~75 % usable after
     * engine overhead.
@@ -149,9 +143,6 @@ object Calibration {
   def overloadScale(demand: Double, capacity: Double): Double =
     if (demand <= capacity || demand <= 0) 1.0
     else math.pow(capacity / demand, 1.0 + OverloadAlpha)
-
-  /** End-to-end latency bound for the throughput metric (§VI-A): 5 s. */
-  val LatencyBoundSec: Double = 5.0
 
   // ------------------------------------------------------------------
   // Calibrated query specs

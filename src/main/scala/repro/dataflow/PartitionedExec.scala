@@ -122,7 +122,10 @@ object PartitionedExec {
       s"effective load factors must be non-increasing: $e")
   }
 
-  private def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long): DataFrame = {
+  /** Build the plan of `chain` over `input` under global effective load
+    * factors `e`, after checking they form a plan.
+    */
+  def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long = 77L): DataFrame = {
     checkPlan(chain, e)
     partitioned(input, chain, e.map(x => lit(x)), seed)
   }

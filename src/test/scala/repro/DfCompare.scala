@@ -2,29 +2,11 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 
-/** Row-set equality between two DataFrames with canonicalized numeric
-  * formatting (same convention as [[Oracle]]), for partitioned-vs-full plan
-  * comparisons where float summation order may differ in the last ulps.
+/** Row-set equality between two DataFrames under the same convention as
+  * [[Oracle]], for partitioned-vs-full plan comparisons where float
+  * summation order may differ in the last ulps.
   */
 object DfCompare {
-
-  private def canon(df: DataFrame): Seq[String] = {
-    val cols = df.columns.toSeq
-    val order = cols.sorted.map(cols.indexOf)
-    df.collect().toSeq
-      .map { r =>
-        order.map { i =>
-          r.get(i) match {
-            case null      => "∅"
-            case d: Double => f"$d%.6f"
-            case f: Float  => f"${f.toDouble}%.6f"
-            case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-            case x         => x.toString
-          }
-        }.mkString("")
-      }
-      .sorted
-  }
 
   /** Assert both frames hold the same rows (order-insensitive) over the
     * same column set.
@@ -32,14 +14,7 @@ object DfCompare {
   def assertSameRows(actual: DataFrame, expected: DataFrame, context: String = ""): Unit = {
     require(actual.columns.sorted.toSeq == expected.columns.sorted.toSeq,
       s"$context column mismatch: ${actual.columns.sorted.toSeq} vs ${expected.columns.sorted.toSeq}")
-    val a = canon(actual)
-    val e = canon(expected)
-    if (a != e) {
-      val onlyA = a.diff(e).take(3)
-      val onlyE = e.diff(a).take(3)
-      throw new AssertionError(
-        s"$context row mismatch (${a.size} vs ${e.size} rows)\n" +
-          s"  only-actual:   $onlyA\n  only-expected: $onlyE")
-    }
+    Oracle.rowDiff(actual.collect().toSeq, actual.columns.toSeq, expected.collect().toSeq, expected.columns.toSeq)
+      .foreach(d => throw new AssertionError(s"$context row mismatch: $d"))
   }
 }

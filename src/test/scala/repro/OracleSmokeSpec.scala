@@ -44,4 +44,24 @@ class OracleSmokeSpec extends SparkSpec {
       again.groupBy("l_returnflag").agg(round(sum("l_extendedprice"), 2) as "s"),
     )
   }
+
+  /** One `(k, v)` row, and the SQL that reads such a table back. */
+  private def kv(v: Double) = {
+    import spark.implicits._
+    Seq((1L, v)).toDF("k", "v")
+  }
+  private val kvSql = "SELECT CAST(k AS BIGINT) AS k, CAST(v AS DOUBLE) AS v FROM t"
+
+  test("a one-ulp difference on a six-decimal rounding boundary compares equal") {
+    val x = 2.0327875
+    DfCompare.assertSameRows(kv(x), kv(math.nextDown(x)))
+    Oracle.assertEquivalent(kv(x), kvSql, "t" -> kv(math.nextDown(x)))
+  }
+
+  test("a 1e-6 difference still fails both comparisons, at any magnitude") {
+    for ((a, b) <- Seq((2.0327875, 2.0327885), (8191.0, 8191.000001))) {
+      intercept[AssertionError](DfCompare.assertSameRows(kv(a), kv(b)))
+      intercept[IllegalArgumentException](Oracle.assertEquivalent(kv(a), kvSql, "t" -> kv(b)))
+    }
+  }
 }

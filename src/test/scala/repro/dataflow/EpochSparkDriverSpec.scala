@@ -1,8 +1,11 @@
 package repro.dataflow
 
 import org.apache.spark.sql.DataFrame
-import repro.core.adapt.{JarvisRuntime, Phase}
+import org.apache.spark.sql.functions.{col, concat, lit}
+import repro.core.adapt.{EpochObs, JarvisRuntime, Phase, ProfileEstimates}
+import repro.core.lp.LoadFactorLP
 import repro.core.model.{OpKind, OperatorSpec, QuerySpec}
+import repro.sim.SourceNodeSim
 import repro.{DfCompare, SparkSpec}
 
 /** The Jarvis control loop driving *real Spark execution* epoch by epoch:
@@ -31,6 +34,65 @@ class EpochSparkDriverSpec extends SparkSpec {
       probesPerEpoch = 50, seed = 1000L + epoch)
 
   private def newDriver(budget: Double) = new EpochSparkDriver(spark, testSpec, batchFor, budget)
+
+  /** T2T- and LogAnalytics-shaped specs at the same rate; each full
+    * pipeline demands ~0.85 cores.
+    */
+  private val t2tSpec = QuerySpec("T2TProbe-test", Vector(
+    OperatorSpec("F", OpKind.Filter, 0.13 / RecsPerEpoch, 0.86, 86, 86),
+    OperatorSpec("J", OpKind.Join, 0.45 / (0.86 * RecsPerEpoch), 1.0, 86, 20),
+    OperatorSpec("G+R", OpKind.GroupReduce, 0.27 / (0.86 * RecsPerEpoch), 1.0, 20, 86,
+      groupCount = 16, windowEpochs = 10),
+  ), 86, RecsPerEpoch)
+  private val logSpec = QuerySpec("LogAnalytics-test", Vector(
+    OperatorSpec("F", OpKind.Filter, 0.10 / RecsPerEpoch, 0.95, 124, 124),
+    OperatorSpec("M", OpKind.Map, 0.45 / (0.95 * RecsPerEpoch), 1.0, 124, 28),
+    OperatorSpec("G+R", OpKind.GroupReduce, 0.30 / (0.95 * RecsPerEpoch), 1.0, 28, 24,
+      groupCount = 150, windowEpochs = 10),
+  ), 124, RecsPerEpoch)
+
+  private lazy val tor = MonitoringData.torMap(spark, nIps = 16, ipsPerTor = 4)
+  private def logBatchFor(epoch: Int): DataFrame =
+    MonitoringData.logLines(spark, nSources = 4, nTenants = 5, nEpochs = 1,
+      linesPerEpoch = 50, seed = 2000L + epoch)
+
+  /** Each query: its spec, chain, batches, the full query, and the rows
+    * entering each of its operators on a batch, counted independently.
+    */
+  private case class Case(spec: QuerySpec, chain: PartitionedExec.Chain, batches: Int => DataFrame,
+                          full: DataFrame => DataFrame, stageInputs: DataFrame => Seq[DataFrame])
+  private lazy val s2s = Case(testSpec, PartitionedExec.s2sChain, batchFor, Queries.s2sFull,
+    b => Seq(b, Queries.pingFilter(b)))
+  private lazy val t2t = Case(t2tSpec, PartitionedExec.t2tChain(tor), batchFor, Queries.t2tFull(_, tor),
+    b => Seq(b, Queries.pingFilter(b), Queries.torJoin(Queries.pingFilter(b), tor)))
+  private lazy val log = Case(logSpec, PartitionedExec.logChain, logBatchFor, Queries.logFull,
+    b => Seq(b, Queries.logFilter(b), Queries.logParse(Queries.logFilter(b))))
+
+  private def driver(c: Case, budget: Double, batches: Int => DataFrame) =
+    new EpochSparkDriver(spark, c.spec, batches, budget, c.chain)
+
+  private def finite(obs: EpochObs): Boolean =
+    (obs.proxies.flatMap(px => Seq(px.incoming, px.intended, px.processed)) ++
+      Seq(obs.cpuDemand, obs.cpuBudget, obs.drainedBytes, obs.outputBytes, obs.utilization))
+      .forall(_.isFinite)
+
+  private def finite(est: ProfileEstimates): Boolean =
+    (est.costs ++ est.recRelays ++ est.bytesAtOp :+ est.budgetPerRec).forall(_.isFinite)
+
+  private def convergesLosslessly(c: Case): Unit = {
+    val d = driver(c, 1.0, c.batches)
+    val rt = new JarvisRuntime(d)
+    for (_ <- 0 until 10) {
+      rt.step()
+      (d.lastResult, d.lastBatch) match {
+        case (Some(res), Some(batch)) =>
+          DfCompare.assertSameRows(res, c.full(batch), s"${c.spec.name} mid-adaptation epoch")
+        case _ =>
+      }
+    }
+    assert(rt.convergences.nonEmpty, s"log=${rt.log.map(l => (l.phase, l.state))}")
+    assert(rt.loadFactors.forall(_ > 0.9), s"p=${rt.loadFactors}")
+  }
 
   test("zero load factors observe the full stream at proxy 1 and nothing local") {
     val d = newDriver(0.5)
@@ -97,5 +159,63 @@ class EpochSparkDriverSpec extends SparkSpec {
     val rt = new JarvisRuntime(d)
     rt.run(8)
     assert(rt.log.exists(_.phase == Phase.Profile))
+  }
+
+  test("an epoch observes QuerySpec.flow over the measured relays, as SourceNodeSim does") {
+    val budget = 0.4
+    for (c <- Seq(s2s, t2t, log)) {
+      val p = Vector.tabulate(c.spec.numOps)(i => if (i == 0) 1.0 else 0.6)
+      val obs = driver(c, budget, c.batches).runEpoch(p)
+      val n = c.stageInputs(c.batches(0)).map(_.count().toDouble)
+      val measured = c.spec.copy(ops = c.spec.ops.zipWithIndex.map { case (op, i) =>
+        if (i + 1 < n.length) op.copy(recRelay = n(i + 1) / n(i)) else op
+      })
+      assert(obs.cpuDemand > budget, s"${c.spec.name}: the case should overload, demand=${obs.cpuDemand}")
+      assert(obs == measured.flow(p, n(0), budget), c.spec.name)
+      assert(obs == new SourceNodeSim(measured, budget, n(0)).runEpoch(p), c.spec.name)
+    }
+  }
+
+  test("the control loop converges on Spark and stays lossless throughout (T2TProbe)") {
+    convergesLosslessly(t2t)
+  }
+
+  test("the control loop converges on Spark and stays lossless throughout (LogAnalytics)") {
+    convergesLosslessly(log)
+  }
+
+  test("an empty batch observes nothing and profiles finite estimates") {
+    for (c <- Seq(s2s, log)) {
+      val empty = c.batches(0).where(lit(false))
+      val d = driver(c, 0.5, _ => empty)
+      val est = d.runProfileEpoch()
+      assert(finite(est), s"${c.spec.name}: $est")
+      val sol = LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec)
+      assert(sol.e.forall(_.isFinite), s"${c.spec.name}: $sol")
+      val obs = d.runEpoch(Vector.fill(c.spec.numOps)(1.0))
+      assert(finite(obs), s"${c.spec.name}: $obs")
+      assert(obs.cpuDemand == 0.0 && obs.drainedBytes == 0.0 && obs.outputBytes == 0.0,
+        s"${c.spec.name}: $obs")
+      assert(d.lastResult.get.count() == 0)
+    }
+  }
+
+  test("a batch the filter drops entirely forwards nothing past it") {
+    val filtered = Seq(
+      s2s -> ((b: DataFrame) => b.withColumn("errCode", lit(1))),
+      log -> ((b: DataFrame) => b.withColumn("raw", concat(lit("!corrupt "), col("recId")))),
+    )
+    for ((c, dropAll) <- filtered) {
+      val batch = dropAll(c.batches(0))
+      val d = driver(c, 0.5, _ => batch)
+      val est = d.runProfileEpoch()
+      assert(finite(est) && est.recRelays(0) == 0.0, s"${c.spec.name}: $est")
+      val obs = d.runEpoch(Vector.fill(c.spec.numOps)(1.0))
+      assert(finite(obs), s"${c.spec.name}: $obs")
+      assert(obs.proxies.tail.forall(_.incoming == 0.0), s"${c.spec.name}: $obs")
+      assert(obs.cpuDemand == RecsPerEpoch * c.spec.ops(0).costSecPerRec, s"${c.spec.name}: $obs")
+      assert(d.runEpoch(Vector.fill(c.spec.numOps)(0.0)).cpuDemand == 0.0)
+      DfCompare.assertSameRows(d.lastResult.get, c.full(batch), c.spec.name)
+    }
   }
 }
