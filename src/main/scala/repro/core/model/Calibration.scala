@@ -217,4 +217,15 @@ object Calibration {
     )
     QuerySpec("LogAnalytics", Vector(f, m, gr), LogRecBytes, LogRecsPerSec)
   }
+
+  /** LogAnalytics with an exact p95 of `cpu` per (window, tenant) in place
+    * of the histogram: the non-incremental aggregate that motivates rule R-1
+    * (§IV-B). F and M are [[logAnalytics]]'s; the percentile's cost and
+    * output size are derived (the histogram G+R's), its groups the tenants.
+    * No table uses it.
+    */
+  val logP95: QuerySpec = {
+    val p95 = logAnalytics.ops(2).copy(name = "P95", kind = OpKind.HolisticReduce, groupCount = LogTenants)
+    QuerySpec("LogAnalytics-p95", logAnalytics.ops.take(2) :+ p95, LogRecBytes, LogRecsPerSec)
+  }
 }

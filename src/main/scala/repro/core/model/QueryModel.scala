@@ -1,6 +1,7 @@
 package repro.core.model
 
 import repro.core.adapt.{EpochObs, ProxyObs}
+import repro.core.plan.{LogicalOperator, QueryPlanner}
 
 /** Kind of a stream operator in a monitoring query DAG (paper §II-A).
   *
@@ -17,6 +18,11 @@ object OpKind {
   case object Join extends OpKind
   /** Grouping + incremental reduction (hash aggregation). */
   case object GroupReduce extends OpKind
+  /** Grouping + holistic reduction (exact quantile): its state does not
+    * merge incrementally, so placement rule R-1 keeps it off the source.
+    * Its output is modelled as [[GroupReduce]]'s.
+    */
+  case object HolisticReduce extends OpKind
 }
 
 /** One stream operator with its steady-state cost/relay characteristics.
@@ -25,13 +31,13 @@ object OpKind {
   * @param kind          operator kind
   * @param costSecPerRec CPU-seconds to process one input record
   * @param recRelay      output records per input record (flow-through ops);
-  *                      for [[OpKind.GroupReduce]] the output is bounded by
+  *                      for a grouping kind the output is bounded by
   *                      `groupCount` per window instead
   * @param bytesInPerRec serialized wire size of one input record — the cost
   *                      of draining a record at this operator's proxy
   * @param bytesOutPerRec serialized wire size of one output record
-  * @param groupCount    for GroupReduce: number of distinct groups per window
-  * @param windowEpochs  for GroupReduce: epochs per emission window
+  * @param groupCount    for a grouping kind: distinct groups per window
+  * @param windowEpochs  for a grouping kind: epochs per emission window
   */
 final case class OperatorSpec(
     name: String,
@@ -46,6 +52,11 @@ final case class OperatorSpec(
   require(costSecPerRec >= 0, s"negative cost for $name")
   require(recRelay >= 0 && recRelay <= 1, s"record relay out of [0,1] for $name")
 
+  /** This operator as the §IV-B planner sees it. Of the placement flags only
+    * `incremental` follows from a kind; no operator here needs the others.
+    */
+  def logical: LogicalOperator = LogicalOperator(name, incremental = kind != OpKind.HolisticReduce)
+
   /** Output records per second given input records per second.
     *
     * GroupReduce emits one record per *occupied* group per window, amortized
@@ -56,7 +67,7 @@ final case class OperatorSpec(
     * operators are proportional.
     */
   def outRecsPerSec(inRecsPerSec: Double): Double = kind match {
-    case OpKind.GroupReduce =>
+    case OpKind.GroupReduce | OpKind.HolisticReduce =>
       if (inRecsPerSec <= 0 || groupCount <= 0) 0.0
       else {
         val windowRecs = inRecsPerSec * windowEpochs
@@ -92,6 +103,21 @@ final case class QuerySpec(
   )
 
   def numOps: Int = ops.length
+
+  /** The §IV-B plan: the placement rules split the operators into a
+    * source-eligible prefix, one control proxy each, and an SP-only rest.
+    */
+  lazy val plan: QueryPlanner.PlannedQuery = QueryPlanner.plan(ops.map(_.logical))
+
+  /** Control proxies the planner inserts: the operators the runtime adapts. */
+  def numProxies: Int = plan.numProxies
+
+  /** The query as its control proxies see it: the proxied prefix alone. The
+    * records its last operator sends on to an SP-only operator count as the
+    * output, as the LP counts the final output (`W_M = σ_1`). The LP, the
+    * runtime and [[flow]] see this spec.
+    */
+  lazy val proxied: QuerySpec = if (numProxies == numOps) this else copy(ops = ops.take(numProxies))
 
   /** Input record rate into operator i (0-based) when every upstream load
     * factor is 1, for a given source input rate.

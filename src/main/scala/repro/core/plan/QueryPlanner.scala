@@ -59,6 +59,11 @@ object PlacementRules {
 /** Compile-time planning (paper §IV-B): apply the placement rules to find
   * the operator prefix eligible for source-side execution, then insert a
   * control proxy in front of every source-side operator.
+  *
+  * Every query plans through here: `QuerySpec.plan` passes the operators'
+  * derived [[LogicalOperator]]s, and `QuerySpec.proxied`, the prefix this
+  * plan proxies, is what the LP, the runtime, the flow model and the Spark
+  * lane builder see.
   */
 object QueryPlanner {
 

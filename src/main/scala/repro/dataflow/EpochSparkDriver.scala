@@ -11,47 +11,54 @@ import repro.core.model.{Calibration, QuerySpec}
   * Structured-Streaming mapping of DESIGN.md §2; `jobs/StreamingDemoJob`
   * runs the same function under `foreachBatch`).
   *
-  * Each epoch measures what only the data can tell: the rows entering each
-  * operator, N_0 … N_{M−1}, counted in one Spark action. The relays
-  * ρ_i = N_{i+1}/N_i of the `u`-keeping stages replace those of `querySpec`
-  * (a stage that saw no rows keeps the spec's relay), and the proxies
-  * observe [[QuerySpec.flow]] over that measured spec — the model the
-  * simulator runs. CPU is accounted with the calibrated costs (a local[*]
-  * driver cannot throttle a fractional core — documented substitution).
-  * The partitioned result of every epoch is available via [[lastResult]],
-  * so tests can assert losslessness while the control loop adapts.
+  * The runtime adapts the chain's control proxies: the operators its
+  * §IV-B plan puts on the source, `chain.spec.proxied`. SP-only operators
+  * run on the SP alone, and the records the source sends them are the
+  * epoch's output. Each epoch measures what only the data can tell: the
+  * rows entering each operator, N_0 … N_{M−1}, counted in one Spark action.
+  * The relays ρ_i = N_{i+1}/N_i of the proxied `u`-keeping stages, clamped
+  * to [0,1], replace the spec's (a stage that saw no rows keeps the spec's
+  * relay), and the proxies observe [[QuerySpec.flow]] over that measured
+  * spec — the model the simulator runs. CPU is accounted with the
+  * calibrated costs (a local[*] driver cannot throttle a fractional core —
+  * documented substitution). The partitioned result of every epoch is
+  * available via [[lastResult]], so tests can assert losslessness while the
+  * control loop adapts.
   *
-  * @param querySpec costs, sizes and default relays of `chain`'s operators
-  * @param chain     the query Spark runs; S2SProbe unless given
+  * @param chain the query Spark runs, with the costs, sizes and default
+  *              relays of its operators
   */
 final class EpochSparkDriver(
     spark: SparkSession,
-    querySpec: QuerySpec,
+    chain: PartitionedExec.Chain,
     batchFor: Int => DataFrame,
     var budgetCores: Double,
-    chain: PartitionedExec.Chain = PartitionedExec.s2sChain,
 ) extends EpochExecutor {
 
-  require(chain.numOps == querySpec.numOps,
-    s"chain has ${chain.numOps} operators, spec ${querySpec.name} has ${querySpec.numOps}")
+  /** S2SProbe with the costs, sizes and default relays of `querySpec`. */
+  def this(spark: SparkSession, querySpec: QuerySpec, batchFor: Int => DataFrame, budgetCores: Double) =
+    this(spark, PartitionedExec.s2sChain.copy(spec = querySpec), batchFor, budgetCores)
 
+  private val proxied = chain.spec.proxied
   private var epoch = 0
   private var lastResultDf: Option[DataFrame] = None
   private var lastBatchDf: Option[DataFrame] = None
 
-  def numOps: Int = querySpec.numOps
+  def numOps: Int = proxied.numOps
   def currentEpoch: Int = epoch
   def lastResult: Option[DataFrame] = lastResultDf
   def lastBatch: Option[DataFrame] = lastBatchDf
 
   def observedByteRelays: Vector[Double] =
-    querySpec.byteRelays(math.max(querySpec.inputRecsPerSec, 1.0))
+    proxied.byteRelays(math.max(proxied.inputRecsPerSec, 1.0))
 
-  /** The next batch, `querySpec` with the relays measured on it, and N_0.
-    * Each stage's input is observed and the last stage's output counted,
-    * so all N_i come from that one action. The observed counts are read
-    * from the action's own execution, not from an `Observation`, which
-    * waits for the asynchronous listener bus.
+  /** The next batch, the proxied spec with the relays measured on it, and
+    * N_0. Each stage's input is observed and the last stage's output
+    * counted, so all N_i come from that one action. The observed counts are
+    * read from the action's own execution, not from an `Observation`, which
+    * waits for the asynchronous listener bus. A measured relay above 1 (a
+    * join that fans out) is clamped to 1: the model's relays are fractions,
+    * and this is the one place measured relays enter it.
     */
   private def measure(): (DataFrame, QuerySpec, Double) = {
     val batch = batchFor(epoch)
@@ -62,10 +69,10 @@ final class EpochSparkDriver(
     val nLast = counted.collect()(0).getLong(0).toDouble
     val observed = counted.queryExecution.observedMetrics
     val n = chain.stages.indices.map(i => observed(s"n$i").getLong(0).toDouble) :+ nLast
-    val ops = querySpec.ops.zipWithIndex.map { case (op, i) =>
-      if (i < chain.stages.length && n(i) > 0) op.copy(recRelay = n(i + 1) / n(i)) else op
+    val ops = proxied.ops.zipWithIndex.map { case (op, i) =>
+      if (i < chain.stages.length && n(i) > 0) op.copy(recRelay = math.min(1.0, n(i + 1) / n(i))) else op
     }
-    (batch, querySpec.copy(ops = ops), n(0))
+    (batch, proxied.copy(ops = ops), n(0))
   }
 
   def runEpoch(p: Vector[Double]): EpochObs = {

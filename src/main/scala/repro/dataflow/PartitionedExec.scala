@@ -2,6 +2,7 @@ package repro.dataflow
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.model.{Calibration, QuerySpec}
 
 /** Data-level partitioned execution of the monitoring queries (paper §IV).
   *
@@ -15,6 +16,11 @@ import org.apache.spark.sql.functions._
   * them — the per-proxy drain paths of Fig. 5. Effective load factors are
   * non-increasing (`e_1 ≥ … ≥ e_M`), so one draw implements the whole chain
   * and a record drained at proxy i has `e_i ≤ u < e_{i-1}`.
+  *
+  * Only the operators the §IV-B planner puts behind a proxy
+  * (`chain.spec.numProxies` of them) take a load factor. The SP-only rest
+  * runs at `e = 0`: every record still local there is drained, so no local
+  * lane reaches an SP-only operator.
   *
   * [[partitioned]] builds every plan. Its load factors are columns:
   * constants for a global plan, per-record values joined from a per-source
@@ -31,32 +37,41 @@ object PartitionedExec {
   def uCol(recId: Column, seed: Long = 77L): Column =
     pmod(xxhash64(recId, lit(seed)), lit(UScale)) / lit(UScale.toDouble)
 
-  /** A query as Jarvis partitions it. `stages(i)(df, carry)` runs operator
-    * i+1 and keeps the input columns named in `carry`; `partial` folds one
-    * lane into mergeable aggregation state and `merge` turns the union of
-    * all lanes' states into the query's output.
+  /** A monitoring query as one value: the Spark code Jarvis partitions and
+    * the cost spec of the same operators. `stages(i)(df, carry)` runs
+    * operator i+1 and keeps the input columns named in `carry`; `partial`
+    * folds one lane into aggregation state and `merge` turns the union of
+    * all lanes' states into the query's output. `spec` describes operator i
+    * as `spec.ops(i)`; its plan decides how many of them are proxied.
     */
   final case class Chain(
       stages: Seq[(DataFrame, Seq[String]) => DataFrame],
       partial: DataFrame => DataFrame,
       merge: DataFrame => DataFrame,
+      spec: QuerySpec,
   ) {
-    def numOps: Int = stages.length + 1
+    require(stages.length + 1 == spec.numOps,
+      s"chain has ${stages.length + 1} operators, spec ${spec.name} has ${spec.numOps}")
+
+    def numOps: Int = spec.numOps
+    /** Operators behind a control proxy, one load factor each. */
+    def numProxies: Int = spec.numProxies
   }
 
   /** Build the partitioned plan of `chain` over `input` under effective
-    * load factors `e`, one per operator. Every column of `input` that a
-    * load factor names travels with `u` along the local lane.
+    * load factors `e`, one per proxied operator; the SP-only operators get
+    * `lit(0.0)`. Every column of `input` that a load factor names travels
+    * with `u` along the local lane.
     *
     * Column equality is structural, so a drain band between two equal
     * bounds (such as `lit(0.7)` twice) and a local lane below `lit(0.0)`
     * are known to be empty and are not built.
     */
   def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long = 77L): DataFrame = {
-    require(e.length == chain.numOps, s"chain has ${chain.numOps} operators, got ${e.length} load factors")
+    require(e.length == chain.numProxies, s"chain has ${chain.numProxies} proxies, got ${e.length} load factors")
     val u = col("u")
     val carry = "u" +: input.columns.filter(c => e.contains(col(c))).toSeq
-    val bounds = lit(1.0) +: e
+    val bounds = (lit(1.0) +: e).padTo(chain.numOps + 1, lit(0.0))
     var local: Option[DataFrame] = Some(input.withColumn("u", uCol(col("recId"), seed)))
     var sp: Option[DataFrame] = None
     for (i <- 0 until chain.numOps) {
@@ -90,7 +105,7 @@ object PartitionedExec {
     eBySource.values.foreach(checkPlan(chain, _))
     val spark = input.sparkSession
     import spark.implicits._
-    val names = (1 to chain.numOps).map(i => s"e$i")
+    val names = (1 to chain.numProxies).map(i => s"e$i")
     val plans = eBySource.toSeq.toDF("plan_src", "plan_e")
     val withE = input
       .join(plans, col(key) === col("plan_src"), "left_outer")
@@ -116,7 +131,7 @@ object PartitionedExec {
   }
 
   private def checkPlan(chain: Chain, e: Seq[Double]): Unit = {
-    require(e.length == chain.numOps, s"chain has ${chain.numOps} operators, got e=$e")
+    require(e.length == chain.numProxies, s"chain has ${chain.numProxies} proxies, got e=$e")
     require(e.forall(x => x >= 0 && x <= 1), s"load factors out of range: $e")
     require(e.zip(e.drop(1)).forall { case (a, b) => a >= b - 1e-12 },
       s"effective load factors must be non-increasing: $e")
@@ -131,7 +146,7 @@ object PartitionedExec {
   }
 
   // ------------------------------------------------------------------
-  // The three queries as chains
+  // The monitoring queries as chains
   // ------------------------------------------------------------------
 
   private def rttPartial(keys: Column*)(records: DataFrame): DataFrame =
@@ -185,15 +200,17 @@ object PartitionedExec {
     Seq((df, _) => Queries.pingFilter(df)),
     rttPartial(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp")),
     rttMerge("win", "srcIp", "dstIp"),
+    Calibration.s2sProbe,
   )
 
   /** T2TProbe: F → J → G+R; the output matches [[Queries.t2tFull]]. The
     * static ToR table is available on both sides, as in the paper.
     */
-  def t2tChain(tor: DataFrame): Chain = Chain(
+  def t2tChain(tor: DataFrame, spec: QuerySpec = Calibration.t2tProbe()): Chain = Chain(
     Seq((df, _) => Queries.pingFilter(df), Queries.torJoin(_, tor, _)),
     rttPartial(col("win"), col("srcTor"), col("dstTor")),
     rttMerge("win", "srcTor", "dstTor"),
+    spec,
   )
 
   /** LogAnalytics: F → M → G+R; the output matches [[Queries.logFull]]. */
@@ -201,6 +218,18 @@ object PartitionedExec {
     Seq((df, _) => Queries.logFilter(df), Queries.logParse),
     logPartial,
     logMerge,
+    Calibration.logAnalytics,
+  )
+
+  /** LogAnalytics with an exact p95: F → M → P95; the output matches
+    * [[Queries.logP95Full]]. The percentile does not merge, so the planner
+    * keeps it on the SP: `partial` only projects and `merge` computes it.
+    */
+  val logP95Chain: Chain = Chain(
+    Seq((df, _) => Queries.logFilter(df), Queries.logParse),
+    _.select("win", "tenant", "cpu"),
+    Queries.cpuP95,
+    Calibration.logP95,
   )
 
   /** S2SProbe under global effective load factors `(e1, e2)`. */

@@ -113,8 +113,8 @@ object Queries {
         avg("mem") as "avg_mem",
       )
 
-  /** Oracle SQL equivalent of [[logFull]] over a table `logs(raw)`. */
-  val logSql: String =
+  /** The parsed lines of a table `logs(raw)` as a DuckDB CTE `parsed`. */
+  private val logParsedSql: String =
     """WITH parsed AS (
       |  SELECT CAST(regexp_extract(raw, 'ts=(\d+)', 1) AS BIGINT) // 10000 AS win,
       |         regexp_extract(raw, 'tenant=(t\d+)', 1) AS tenant,
@@ -124,7 +124,29 @@ object Queries {
       |  FROM logs
       |  WHERE raw LIKE 'ts=%' AND raw LIKE '% lat_ms=%'
       |)
-      |SELECT win, tenant, bucket, count(*) AS cnt,
+      |""".stripMargin
+
+  /** Oracle SQL equivalent of [[logFull]] over a table `logs(raw)`. */
+  val logSql: String = logParsedSql +
+    """SELECT win, tenant, bucket, count(*) AS cnt,
       |       avg(cpu) AS avg_cpu, avg(mem) AS avg_mem
       |FROM parsed GROUP BY 1, 2, 3""".stripMargin
+
+  // ------------------------------------------------------------------
+  // LogAnalytics with an exact p95: W → F → M → P95(cpu) per (win, tenant),
+  // the non-incremental aggregate of placement rule R-1 (§IV-B)
+  // ------------------------------------------------------------------
+
+  /** The exact 95th percentile of `cpu` per window and tenant, interpolated
+    * linearly between the closest ranks.
+    */
+  def cpuP95(parsed: DataFrame): DataFrame =
+    parsed.groupBy(col("win"), col("tenant")).agg(percentile(col("cpu"), lit(0.95)) as "p95_cpu")
+
+  def logP95Full(lines: DataFrame): DataFrame = cpuP95(logParse(logFilter(lines)))
+
+  /** Oracle SQL equivalent of [[logP95Full]] over a table `logs(raw)`. */
+  val logP95Sql: String = logParsedSql +
+    """SELECT win, tenant, quantile_cont(cpu, 0.95) AS p95_cpu
+      |FROM parsed GROUP BY 1, 2""".stripMargin
 }

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropHelpers
 import repro.core.adapt._
-import repro.core.model.Calibration
+import repro.core.model.{Calibration, QuerySpec}
 import repro.sim.SourceNodeSim
 
 /** State-machine and end-to-end control-loop tests for the Jarvis runtime
@@ -177,6 +179,56 @@ class JarvisRuntimeSpec extends AnyFunSuite {
     val obs = EpochObs(Vector(ProxyObs(100, 10, 10), ProxyObs(10, 10, 5)),
       cpuDemand = 0.3, cpuBudget = 1.0, drainedBytes = 0, outputBytes = 0)
     assert(PipelineState.classify(obs, Vector(0.1, 1.0), 0.05, 0.10) == PipelineState.Congested)
+  }
+
+  // ------------------------------------------------------------------
+  // Fuzz: random resource and workload trajectories
+  // ------------------------------------------------------------------
+
+  private def withCostScale(q: QuerySpec): Gen[QuerySpec] =
+    Gen.choose(0.25, 4.0).map(k => q.copy(ops = q.ops.map(op => op.copy(costSecPerRec = op.costSecPerRec * k))))
+
+  /** A start spec, budget, rate (a multiple of `base`'s) and profile noise,
+    * then what changes before each of 120 epochs: mostly nothing, else the
+    * budget, the rate or the spec.
+    */
+  private def trajectory(base: QuerySpec, specs: Gen[QuerySpec]) = {
+    val budget = Gen.frequency(1 -> Gen.const(0.0), 8 -> Gen.choose(0.0, 1.5))
+    val rate = Gen.frequency(1 -> Gen.const(0.0), 8 -> Gen.choose(0.0, 2.0))
+    val change = Gen.frequency[SourceNodeSim => Unit](
+      12 -> Gen.const(_ => ()),
+      1 -> budget.map(b => _.budgetCores = b),
+      1 -> rate.map(r => _.inputRecsPerSec = r * base.inputRecsPerSec),
+      1 -> specs.map(q => _.setSpec(q)),
+    )
+    for {
+      q <- specs
+      b <- budget
+      r <- rate
+      noise <- Gen.choose(0.0, 0.5)
+      changes <- Gen.listOfN(120, change)
+    } yield (new SourceNodeSim(q, b, r * base.inputRecsPerSec, noise), changes)
+  }
+
+  test("fuzz: random budget, rate and spec trajectories never throw and keep p on the grid") {
+    val queries = Seq(
+      Calibration.s2sProbe -> withCostScale(Calibration.s2sProbe),
+      Calibration.t2tProbe() -> Gen.choose(50L, 1000L).map(Calibration.t2tProbe),
+      Calibration.logAnalytics -> withCostScale(Calibration.logAnalytics),
+      Calibration.logP95.proxied -> withCostScale(Calibration.logP95.proxied),
+    )
+    val grid = Calibration.LoadFactorGrid
+    def onGrid(x: Double): Boolean = x >= 0 && x <= 1 && math.abs(x * grid - math.round(x * grid)) < 1e-9
+    for (((base, specs), qi) <- queries.zipWithIndex;
+         (sim, changes) <- PropHelpers.samples(trajectory(base, specs), 60, seed = 900L + 100 * qi)) {
+      val rt = new JarvisRuntime(sim)
+      for (change <- changes) {
+        change(sim)
+        val entry = rt.step()
+        assert(entry.p.length == base.numOps && entry.p.forall(onGrid),
+          s"${base.name} epoch ${entry.epoch}: p=${entry.p}, ${entry.obs}")
+      }
+    }
   }
 
   // ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.model.Calibration
 import repro.core.plan._
 
 /** Tests for the §IV-B placement rules (R-1…R-4) and control-proxy
@@ -98,5 +99,16 @@ class QueryPlannerSpec extends AnyFunSuite {
         Vector(window, filter, LogicalOperator("M"), groupAgg))) {
       assert(QueryPlanner.plan(q).spOnlyOps.isEmpty)
     }
+  }
+
+  test("the query specs plan their proxies: R-1 keeps only the exact p95 on the SP") {
+    for (q <- Seq(Calibration.s2sProbe, Calibration.t2tProbe(), Calibration.logAnalytics)) {
+      assert(q.plan.numProxies == q.numOps && q.plan.rejections.isEmpty, q.name)
+      assert(q.proxied == q, q.name)
+    }
+    val p95 = Calibration.logP95
+    assert(p95.numProxies == 2)
+    assert(p95.plan.rejections.map(r => (r.op, r.rule)) == Vector(("P95", "R-1")))
+    assert(p95.proxied.ops == p95.ops.take(2))
   }
 }

@@ -68,8 +68,16 @@ class EpochSparkDriverSpec extends SparkSpec {
   private lazy val log = Case(logSpec, PartitionedExec.logChain, logBatchFor, Queries.logFull,
     b => Seq(b, Queries.logFilter(b), Queries.logParse(Queries.logFilter(b))))
 
+  /** LogAnalytics with an exact p95 at the same rate: the planner keeps the
+    * percentile on the SP, so F and M (~0.55 cores) are proxied.
+    */
+  private val logP95Spec = logSpec.copy(name = "LogAnalytics-p95-test",
+    ops = logSpec.ops.updated(2, logSpec.ops(2).copy(name = "P95", kind = OpKind.HolisticReduce)))
+  private lazy val logP95 = Case(logP95Spec, PartitionedExec.logP95Chain, logBatchFor, Queries.logP95Full,
+    b => Seq(b, Queries.logFilter(b), Queries.logParse(Queries.logFilter(b))))
+
   private def driver(c: Case, budget: Double, batches: Int => DataFrame) =
-    new EpochSparkDriver(spark, c.spec, batches, budget, c.chain)
+    new EpochSparkDriver(spark, c.chain.copy(spec = c.spec), batches, budget)
 
   private def finite(obs: EpochObs): Boolean =
     (obs.proxies.flatMap(px => Seq(px.incoming, px.intended, px.processed)) ++
@@ -182,6 +190,29 @@ class EpochSparkDriverSpec extends SparkSpec {
 
   test("the control loop converges on Spark and stays lossless throughout (LogAnalytics)") {
     convergesLosslessly(log)
+  }
+
+  test("the control loop converges on Spark and stays lossless throughout (LogAnalytics exact p95)") {
+    assert(driver(logP95, 1.0, logP95.batches).numOps == 2)
+    convergesLosslessly(logP95)
+  }
+
+  test("a join that fans out measures a relay above 1, clamped so the stream lives on") {
+    val dupTor = tor.unionByName(tor.where(col("ip") === 0).withColumn("tor", col("tor") + 100))
+    val c = t2t.copy(chain = PartitionedExec.t2tChain(dupTor), full = Queries.t2tFull(_, dupTor))
+    val batch = c.batches(0)
+    val filtered = Queries.pingFilter(batch)
+    assert(Queries.torJoin(filtered, dupTor).count() > filtered.count(), "the join should fan out")
+    val d = driver(c, 0.5, _ => batch)
+    val est = d.runProfileEpoch()
+    assert(finite(est) && est.recRelays(1) == 1.0, s"$est")
+    val sol = LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec)
+    assert(sol.e.forall(_.isFinite), s"$sol")
+    for (p <- Seq(Vector(1.0, 1.0, 1.0), sol.p)) {
+      val obs = d.runEpoch(p)
+      assert(finite(obs), s"$obs")
+      DfCompare.assertSameRows(d.lastResult.get, c.full(batch), s"fan-out join at p=$p")
+    }
   }
 
   test("an empty batch observes nothing and profiles finite estimates") {

@@ -1,9 +1,11 @@
 package repro.dataflow
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.catalyst.expressions.aggregate.Percentile
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
+import repro.core.model.Calibration
 import repro.{DfCompare, Oracle, PropHelpers, SparkSpec}
 
 /** Losslessness of data-level partitioned execution (paper §II-B1, §VI-D):
@@ -22,6 +24,7 @@ class PartitionedExecSpec extends SparkSpec {
   private lazy val s2sRef = Queries.s2sFull(pings).cache()
   private lazy val t2tRef = Queries.t2tFull(pings, tor).cache()
   private lazy val logRef = Queries.logFull(lines).cache()
+  private lazy val logP95Ref = Queries.logP95Full(lines).cache()
 
   // ------------------------------------------------------------------
   // S2SProbe
@@ -219,6 +222,77 @@ class PartitionedExecSpec extends SparkSpec {
   }
 
   // ------------------------------------------------------------------
+  // LogAnalytics with an exact p95: the planner keeps the percentile on the
+  // SP (R-1), so F and M take the two load factors
+  // ------------------------------------------------------------------
+
+  private val levels = Seq(0.0, 0.35, 0.7, 1.0)
+  private val p95Grid = for (e1 <- levels; e2 <- levels if e2 <= e1) yield Seq(e1, e2)
+
+  for (e <- p95Grid)
+    test(s"LogAnalytics p95 partitioned == full and DuckDB at e=${e.mkString("(", ",", ")")}") {
+      val plan = PartitionedExec.global(lines, PartitionedExec.logP95Chain, e)
+      DfCompare.assertSameRows(plan, logP95Ref, s"log p95 e=$e")
+      Oracle.assertEquivalent(plan, Queries.logP95Sql, "logs" -> lines.select("raw"))
+    }
+
+  test("LogAnalytics p95 takes one load factor per proxy, not per operator") {
+    assert(PartitionedExec.logP95Chain.numProxies == 2)
+    intercept[IllegalArgumentException] {
+      PartitionedExec.global(lines, PartitionedExec.logP95Chain, Seq(1.0, 1.0, 1.0))
+    }
+  }
+
+  test("a chain rejects a spec with another operator count") {
+    intercept[IllegalArgumentException] { PartitionedExec.s2sChain.copy(spec = Calibration.logAnalytics) }
+  }
+
+  test("LogAnalytics p95 per-source plans are lossless, mapped and unmapped sources") {
+    val plans = Map(0L -> Seq(1.0, 1.0), 1L -> Seq(0.7, 0.35), 2L -> Seq(1.0, 0.0)) // source 3 unmapped
+    val plan = PartitionedExec.perSource(lines, PartitionedExec.logP95Chain, "sourceId", plans)
+    DfCompare.assertSameRows(plan, logP95Ref, "log p95 per-source")
+    Oracle.assertEquivalent(plan, Queries.logP95Sql, "logs" -> lines.select("raw"))
+  }
+
+  test("LogAnalytics p95 source failure mid-window: checkpointed records + replay recover exactly") {
+    val failAtMs = 10500L
+    DfCompare.assertSameRows(PartitionedExec.recover(PartitionedExec.logP95Chain,
+      lines.filter(col("ts") < failAtMs), lines.filter(col("ts") >= failAtMs)), logP95Ref, "log p95 recovery")
+  }
+
+  // ------------------------------------------------------------------
+  // Per-source plans on edge-case inputs
+  // ------------------------------------------------------------------
+
+  /** A query's chain, input, source key, full query, and a rewrite of its
+    * input that the filter drops entirely.
+    */
+  private def edgeCase(q: String): (PartitionedExec.Chain, DataFrame, String, DataFrame => DataFrame,
+                                    DataFrame => DataFrame) = {
+    val badPing = (b: DataFrame) => b.withColumn("errCode", lit(1))
+    val badLine = (b: DataFrame) => b.withColumn("raw", concat(lit("!corrupt "), col("recId")))
+    q match {
+      case "S2SProbe" => (PartitionedExec.s2sChain, pings, "srcIp", Queries.s2sFull, badPing)
+      case "T2TProbe" => (PartitionedExec.t2tChain(tor), pings, "srcIp", Queries.t2tFull(_, tor), badPing)
+      case "LogAnalytics" => (PartitionedExec.logChain, lines, "sourceId", Queries.logFull, badLine)
+      case "LogAnalytics p95" => (PartitionedExec.logP95Chain, lines, "sourceId", Queries.logP95Full, badLine)
+    }
+  }
+
+  for (q <- Seq("S2SProbe", "T2TProbe", "LogAnalytics", "LogAnalytics p95"))
+    test(s"$q per-source plans on an empty or fully filtered input equal the full query") {
+      val (chain, input, key, full, dropAll) = edgeCase(q)
+      val m = chain.numProxies
+      val mapped = Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)) // others unmapped
+      for ((what, in) <- Seq("empty" -> input.where(lit(false)), "filtered" -> dropAll(input));
+           (how, plans) <- Seq("mapped" -> mapped, "unmapped" -> Map.empty[Long, Seq[Double]])) {
+        val plan = PartitionedExec.perSource(in, chain, key, plans)
+        DfCompare.assertSameRows(plan, full(in), s"$q $what $how")
+        assert(plan.count() == 0, s"$q $what $how")
+      }
+    }
+
+  // ------------------------------------------------------------------
   // Fault tolerance (§IV-E): checkpointed partial state + replay
   // ------------------------------------------------------------------
 
@@ -288,6 +362,16 @@ class PartitionedExecSpec extends SparkSpec {
     test(s"$q at $at plan e=${e.mkString("(", ",", ")")} builds no empty lane") {
       assert(shape(build(e)) == expected, "(input scans, joins)")
     }
+
+  test("LogAnalytics p95 computes its one percentile on the SP at every plan") {
+    for (e <- p95Grid) {
+      val plan = PartitionedExec.global(lines, PartitionedExec.logP95Chain, e).queryExecution.optimizedPlan
+      val percentiles = plan.collect { case a: Aggregate =>
+        a.aggregateExpressions.map(_.collect { case p: Percentile => p }.size).sum
+      }.sum
+      assert(percentiles == 1, s"e=$e")
+    }
+  }
 
   // ------------------------------------------------------------------
   // The u draw
