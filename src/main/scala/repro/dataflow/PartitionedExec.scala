@@ -52,10 +52,6 @@ object PartitionedExec {
   ) {
     require(stages.length + 1 == spec.numOps,
       s"chain has ${stages.length + 1} operators, spec ${spec.name} has ${spec.numOps}")
-
-    def numOps: Int = spec.numOps
-    /** Operators behind a control proxy, one load factor each. */
-    def numProxies: Int = spec.numProxies
   }
 
   /** Build the partitioned plan of `chain` over `input` under effective
@@ -68,13 +64,14 @@ object PartitionedExec {
     * are known to be empty and are not built.
     */
   def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long = 77L): DataFrame = {
-    require(e.length == chain.numProxies, s"chain has ${chain.numProxies} proxies, got ${e.length} load factors")
+    val m = chain.spec.numProxies
+    require(e.length == m, s"chain has $m proxies, got ${e.length} load factors")
     val u = col("u")
     val carry = "u" +: input.columns.filter(c => e.contains(col(c))).toSeq
-    val bounds = (lit(1.0) +: e).padTo(chain.numOps + 1, lit(0.0))
+    val bounds = (lit(1.0) +: e).padTo(chain.spec.numOps + 1, lit(0.0))
     var local: Option[DataFrame] = Some(input.withColumn("u", uCol(col("recId"), seed)))
     var sp: Option[DataFrame] = None
-    for (i <- 0 until chain.numOps) {
+    for (i <- 0 until chain.spec.numOps) {
       val (hi, lo) = (bounds(i), bounds(i + 1))
       if (hi != lo) {
         val drained = local.map(_.filter(u >= lo).drop(carry: _*))
@@ -105,7 +102,7 @@ object PartitionedExec {
     eBySource.values.foreach(checkPlan(chain, _))
     val spark = input.sparkSession
     import spark.implicits._
-    val names = (1 to chain.numProxies).map(i => s"e$i")
+    val names = (1 to chain.spec.numProxies).map(i => s"e$i")
     val plans = eBySource.toSeq.toDF("plan_src", "plan_e")
     val withE = input
       .join(plans, col(key) === col("plan_src"), "left_outer")
@@ -131,7 +128,8 @@ object PartitionedExec {
   }
 
   private def checkPlan(chain: Chain, e: Seq[Double]): Unit = {
-    require(e.length == chain.numProxies, s"chain has ${chain.numProxies} proxies, got e=$e")
+    val m = chain.spec.numProxies
+    require(e.length == m, s"chain has $m proxies, got e=$e")
     require(e.forall(x => x >= 0 && x <= 1), s"load factors out of range: $e")
     require(e.zip(e.drop(1)).forall { case (a, b) => a >= b - 1e-12 },
       s"effective load factors must be non-increasing: $e")
@@ -206,11 +204,11 @@ object PartitionedExec {
   /** T2TProbe: F → J → G+R; the output matches [[Queries.t2tFull]]. The
     * static ToR table is available on both sides, as in the paper.
     */
-  def t2tChain(tor: DataFrame, spec: QuerySpec = Calibration.t2tProbe()): Chain = Chain(
+  def t2tChain(tor: DataFrame): Chain = Chain(
     Seq((df, _) => Queries.pingFilter(df), Queries.torJoin(_, tor, _)),
     rttPartial(col("win"), col("srcTor"), col("dstTor")),
     rttMerge("win", "srcTor", "dstTor"),
-    spec,
+    Calibration.t2tProbe(),
   )
 
   /** LogAnalytics: F → M → G+R; the output matches [[Queries.logFull]]. */

@@ -237,7 +237,7 @@ class PartitionedExecSpec extends SparkSpec {
     }
 
   test("LogAnalytics p95 takes one load factor per proxy, not per operator") {
-    assert(PartitionedExec.logP95Chain.numProxies == 2)
+    assert(PartitionedExec.logP95Chain.spec.numProxies == 2)
     intercept[IllegalArgumentException] {
       PartitionedExec.global(lines, PartitionedExec.logP95Chain, Seq(1.0, 1.0, 1.0))
     }
@@ -282,7 +282,7 @@ class PartitionedExecSpec extends SparkSpec {
   for (q <- Seq("S2SProbe", "T2TProbe", "LogAnalytics", "LogAnalytics p95"))
     test(s"$q per-source plans on an empty or fully filtered input equal the full query") {
       val (chain, input, key, full, dropAll) = edgeCase(q)
-      val m = chain.numProxies
+      val m = chain.spec.numProxies
       val mapped = Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)) // others unmapped
       for ((what, in) <- Seq("empty" -> input.where(lit(false)), "filtered" -> dropAll(input));
            (how, plans) <- Seq("mapped" -> mapped, "unmapped" -> Map.empty[Long, Seq[Double]])) {
