@@ -3,7 +3,10 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** Shared session builder for the spark-submit entrypoints. */
+/** The one Spark session builder: the spark-submit entrypoints, the tests
+  * and perfbench all build their session here. Broadcast joins are disabled
+  * so the joins exercise the shuffle path at the small test scales.
+  */
 object JobSession {
   def build(name: String): SparkSession =
     SparkSession.builder

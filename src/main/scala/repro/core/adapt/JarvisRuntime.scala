@@ -23,7 +23,8 @@ final case class ProfileEstimates(
   * ([[repro.dataflow.EpochSparkDriver]]), which runs any partitioned chain.
   * Both observe an epoch as [[repro.core.model.QuerySpec.flow]]: the
   * simulator at its configured rate and relays, the driver at the batch's
-  * record count and the relays measured on it.
+  * record count and the relays that its proxies' record counters measured
+  * in the one Spark job that computed the batch's result.
   */
 trait EpochExecutor {
   /** Number of operators in the pipeline. */
@@ -36,7 +37,9 @@ trait EpochExecutor {
 
   /** Execute one profiling epoch: operators run one at a time on as many
     * records as the budget slice allows; estimates are noisy when the slice
-    * is too small for an expensive operator (paper §VI-C).
+    * is too small for an expensive operator (paper §VI-C). The epoch's
+    * records still reach the output: the Spark driver computes its batch's
+    * result under the all-drain plan and measures the relays in that run.
     */
   def runProfileEpoch(): ProfileEstimates
 

@@ -1,7 +1,6 @@
 package repro.dataflow
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{count, lit}
 import repro.core.adapt._
 import repro.core.lp.LoadFactorLP
 import repro.core.model.{Calibration, QuerySpec}
@@ -14,16 +13,15 @@ import repro.core.model.{Calibration, QuerySpec}
   * The runtime adapts the chain's control proxies: the operators its
   * §IV-B plan puts on the source, `chain.spec.proxied`. SP-only operators
   * run on the SP alone, and the records the source sends them are the
-  * epoch's output. Each epoch measures what only the data can tell: the
-  * rows entering each operator, N_0 … N_{M−1}, counted in one Spark action.
-  * The relays ρ_i = N_{i+1}/N_i of the proxied `u`-keeping stages, clamped
-  * to [0,1], replace the spec's (a stage that saw no rows keeps the spec's
+  * epoch's output. Every epoch, Profile included, runs one Spark plan: the
+  * batch's partitioned result, collected once into [[lastResult]]. Its
+  * lane counters give the rows entering each operator, N_0 … N_{M−1}. The
+  * relays ρ_i = N_{i+1}/N_i of the proxied `u`-keeping stages, clamped to
+  * [0,1], replace the spec's (a stage that saw no rows keeps the spec's
   * relay), and the proxies observe [[QuerySpec.flow]] over that measured
   * spec — the model the simulator runs. CPU is accounted with the
   * calibrated costs (a local[*] driver cannot throttle a fractional core —
-  * documented substitution). The partitioned result of every epoch is
-  * available via [[lastResult]], so tests can assert losslessness while the
-  * control loop adapts.
+  * documented substitution).
   *
   * @param chain the query Spark runs, with the costs, sizes and default
   *              relays of its operators
@@ -46,48 +44,46 @@ final class EpochSparkDriver(
 
   def numOps: Int = proxied.numOps
   def currentEpoch: Int = epoch
+  /** The last epoch's result rows, held locally: reading them starts no job. */
   def lastResult: Option[DataFrame] = lastResultDf
   def lastBatch: Option[DataFrame] = lastBatchDf
 
   def observedByteRelays: Vector[Double] =
     proxied.byteRelays(math.max(proxied.inputRecsPerSec, 1.0))
 
-  /** The next batch, the proxied spec with the relays measured on it, and
-    * N_0. Each stage's input is observed and the last stage's output
-    * counted, so all N_i come from that one action. The observed counts are
-    * read from the action's own execution, not from an `Observation`, which
-    * waits for the asynchronous listener bus. A measured relay above 1 (a
-    * join that fans out) is clamped to 1: the model's relays are fractions,
-    * and this is the one place measured relays enter it.
+  /** Run the next batch's plan at load factors `p` once, keep its result,
+    * and return the proxied spec with the relays measured in that run, and
+    * N_0. The counters are read from the run's own execution, not from an
+    * `Observation`, which waits for the asynchronous listener bus. A
+    * measured relay above 1 (a join that fans out) is clamped to 1: the
+    * model's relays are fractions, and this is the one place measured
+    * relays enter it.
     */
-  private def measure(): (DataFrame, QuerySpec, Double) = {
+  private def execute(p: Vector[Double]): (QuerySpec, Double) = {
     val batch = batchFor(epoch)
     epoch += 1
-    val counted = chain.stages.indices
-      .foldLeft(batch)((df, i) => chain.stages(i)(df.observe(s"n$i", count(lit(1))), Nil))
-      .agg(count(lit(1)))
-    val nLast = counted.collect()(0).getLong(0).toDouble
-    val observed = counted.queryExecution.observedMetrics
-    val n = chain.stages.indices.map(i => observed(s"n$i").getLong(0).toDouble) :+ nLast
+    val plan = PartitionedExec.global(batch, chain, LoadFactorLP.pToE(p))
+    lastResultDf = Some(spark.createDataFrame(java.util.Arrays.asList(plan.collect(): _*), plan.schema))
+    lastBatchDf = Some(batch)
+    val n = PartitionedExec.operatorInputs(plan, chain).map(_.toDouble)
     val ops = proxied.ops.zipWithIndex.map { case (op, i) =>
       if (i < chain.stages.length && n(i) > 0) op.copy(recRelay = math.min(1.0, n(i + 1) / n(i))) else op
     }
-    (batch, proxied.copy(ops = ops), n(0))
+    (proxied.copy(ops = ops), n(0))
   }
 
   def runEpoch(p: Vector[Double]): EpochObs = {
-    val (batch, spec, n0) = measure()
-    lastBatchDf = Some(batch)
-    lastResultDf = Some(PartitionedExec.global(batch, chain, LoadFactorLP.pToE(p)))
+    val (spec, n0) = execute(p)
     spec.flow(p, n0, budgetCores * Calibration.EpochSeconds)
   }
 
-  /** Relays as measured on the batch; costs from calibration (true values —
-    * the Spark loop demonstrates the control path, the noisy-profiling
-    * behaviour is studied in the simulator).
+  /** The batch runs Startup's all-drain plan; relays as measured in that
+    * run, costs from calibration (true values — the Spark loop demonstrates
+    * the control path, the noisy-profiling behaviour is studied in the
+    * simulator).
     */
   def runProfileEpoch(): ProfileEstimates = {
-    val (_, spec, n0) = measure()
+    val (spec, n0) = execute(Vector.fill(numOps)(0.0))
     ProfileEstimates(
       costs = spec.ops.map(_.costSecPerRec),
       recRelays = spec.recRelaysAt(math.max(n0, 1.0)),

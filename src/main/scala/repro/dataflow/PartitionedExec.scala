@@ -1,6 +1,9 @@
 package repro.dataflow
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.{EmptyRelation, LogicalPlan}
+import org.apache.spark.sql.execution.{CollectMetricsExec, EmptyRelationExec, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanHelper, LogicalQueryStage}
 import org.apache.spark.sql.functions._
 import repro.core.model.{Calibration, QuerySpec}
 
@@ -28,6 +31,10 @@ import repro.core.model.{Calibration, QuerySpec}
   * unpartitioned query for every non-increasing `e` — the losslessness
   * Jarvis claims over data synopses — and the tests enforce that with
   * DataFrame and DuckDB oracles.
+  *
+  * Each lane's input to operator i carries a record counter, the proxy's
+  * counter of §IV-C, so the job that computes the result also measures the
+  * rows entering every operator ([[operatorInputs]]).
   */
 object PartitionedExec {
 
@@ -62,6 +69,10 @@ object PartitionedExec {
     * Column equality is structural, so a drain band between two equal
     * bounds (such as `lit(0.7)` twice) and a local lane below `lit(0.0)`
     * are known to be empty and are not built.
+    *
+    * Right after the drain split in front of operator i, the local lane is
+    * observed as `src<i>` and the SP lane as `sp<i>`: each counts the
+    * lane's rows entering operator i.
     */
   def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long = 77L): DataFrame = {
     val m = chain.spec.numProxies
@@ -79,12 +90,44 @@ object PartitionedExec {
         local = local.map(_.filter(u < lo))
       }
       if (lo == lit(0.0)) local = None
+      local = local.map(_.observe(s"src$i", count(lit(1))))
+      sp = sp.map(_.observe(s"sp$i", count(lit(1))))
       if (i < chain.stages.length) {
         local = local.map(chain.stages(i)(_, carry))
         sp = sp.map(chain.stages(i)(_, Nil))
       }
     }
     chain.merge((local ++ sp).map(chain.partial).reduce(_ unionByName _))
+  }
+
+  /** N_0 … N_{M−1}: the rows that entered each operator of `chain` in the
+    * last run of `plan`, a plan [[partitioned]] built. The plan is lossless,
+    * so N_i is the sum of the counters `src<i>` and `sp<i>` of the lanes
+    * that exist.
+    */
+  def operatorInputs(plan: DataFrame, chain: Chain): Vector[Long] = {
+    val observed = Counters(plan.queryExecution.executedPlan)
+    Vector.tabulate(chain.spec.numOps)(i => Seq(s"src$i", s"sp$i").flatMap(observed.get).map(_.getLong(0)).sum)
+  }
+
+  /** The counters of an executed plan by name. Adaptive execution replaces a
+    * query stage that produced no rows (a lane whose filter dropped every
+    * record) by an empty relation, and `QueryExecution.observedMetrics` then
+    * misses the counters that ran inside that stage; they are read from the
+    * stage the empty relation keeps.
+    */
+  private object Counters extends AdaptiveSparkPlanHelper {
+    def apply(plan: SparkPlan): Map[String, Row] =
+      collectWithSubqueries(plan) {
+        case c: CollectMetricsExec => Map(c.name -> c.collectedMetrics)
+        case EmptyRelationExec(logical) => ofStages(logical)
+      }.fold(Map.empty[String, Row])(_ ++ _)
+
+    private def ofStages(plan: LogicalPlan): Map[String, Row] =
+      plan.collect {
+        case s: LogicalQueryStage => apply(s.physicalPlan)
+        case EmptyRelation(inner) => ofStages(inner)
+      }.fold(Map.empty[String, Row])(_ ++ _)
   }
 
   /** Build a per-source plan: each data source runs its own independently
@@ -151,22 +194,27 @@ object PartitionedExec {
     records.groupBy(keys: _*)
       .agg(
         count(lit(1)) as "p_cnt",
+        count("rtt") as "p_rtt_cnt",
         sum("rtt") as "p_sum",
         max("rtt") as "p_max",
         min("rtt") as "p_min",
       )
 
+  /** `avg_rtt` averages the records that have an `rtt`, as `avg` does, and
+    * is null for a group with none; `cnt` counts every record.
+    */
   private def rttMerge(keys: String*)(partials: DataFrame): DataFrame =
     partials
       .groupBy(keys.map(col): _*)
       .agg(
         sum("p_cnt") as "cnt",
+        sum("p_rtt_cnt") as "rtt_cnt",
         sum("p_sum") as "s_sum",
         max("p_max") as "max_rtt",
         min("p_min") as "min_rtt",
       )
       .select(keys.map(col) ++ Seq(
-        (col("s_sum") / col("cnt")) as "avg_rtt",
+        try_divide(col("s_sum"), col("rtt_cnt")) as "avg_rtt",
         col("max_rtt"), col("min_rtt"), col("cnt"),
       ): _*)
 

@@ -87,9 +87,17 @@ object Queries {
   // bucket) → R(histogram counts + resource aggregates)
   // ------------------------------------------------------------------
 
-  /** Filter predicate of LogAnalytics: structurally valid log lines. */
-  def logFilter(lines: DataFrame): DataFrame =
-    lines.filter(col("raw").startsWith("ts=") && col("raw").contains(" lat_ms="))
+  /** A whole log line in the format `MonitoringData.logLines` writes, with
+    * at most 15 digits per number: every line it matches parses, each field
+    * fits a BIGINT, and a DOUBLE holds it exactly, so Spark's `/` and
+    * DuckDB's `//` agree on its window and bucket. Java and DuckDB's RE2
+    * read it alike.
+    */
+  val logLinePattern: String =
+    """^ts=\d{1,15} tenant=t\d+ job=j\d+ lat_ms=\d{1,15} cpu=\d{1,15}(\.\d+)? mem=\d{1,15}\z"""
+
+  /** Filter predicate of LogAnalytics: the lines [[logParse]] can parse. */
+  def logFilter(lines: DataFrame): DataFrame = lines.filter(col("raw").rlike(logLinePattern))
 
   /** The map operator: parse a raw line into JobStats fields and bucketize
     * latency into 100 ms bins, keeping the input columns named in `carry`.
@@ -115,14 +123,14 @@ object Queries {
 
   /** The parsed lines of a table `logs(raw)` as a DuckDB CTE `parsed`. */
   private val logParsedSql: String =
-    """WITH parsed AS (
+    raw"""WITH parsed AS (
       |  SELECT CAST(regexp_extract(raw, 'ts=(\d+)', 1) AS BIGINT) // 10000 AS win,
       |         regexp_extract(raw, 'tenant=(t\d+)', 1) AS tenant,
       |         CAST(regexp_extract(raw, 'lat_ms=(\d+)', 1) AS BIGINT) // 100 AS bucket,
       |         CAST(regexp_extract(raw, 'cpu=([\d.]+)', 1) AS DOUBLE) AS cpu,
       |         CAST(regexp_extract(raw, 'mem=(\d+)', 1) AS BIGINT) AS mem
       |  FROM logs
-      |  WHERE raw LIKE 'ts=%' AND raw LIKE '% lat_ms=%'
+      |  WHERE regexp_matches(raw, '$logLinePattern')
       |)
       |""".stripMargin
 

@@ -87,17 +87,22 @@ class EpochSparkDriverSpec extends SparkSpec {
   private def finite(est: ProfileEstimates): Boolean =
     (est.costs ++ est.recRelays ++ est.bytesAtOp :+ est.budgetPerRec).forall(_.isFinite)
 
-  private def convergesLosslessly(c: Case): Unit = {
-    val d = driver(c, 1.0, c.batches)
+  /** Twelve runtime steps, a Profile epoch among them. After every step,
+    * Profile included, the driver's batch is the one it was just served
+    * and its result equals the full query on the batch of that index.
+    */
+  private def convergesLosslessly(c: Case, budget: Double = 1.0): Unit = {
+    var served: Option[(Int, DataFrame)] = None
+    val d = driver(c, budget, k => { val b = c.batches(k); served = Some(k -> b); b })
     val rt = new JarvisRuntime(d)
-    for (_ <- 0 until 10) {
-      rt.step()
-      (d.lastResult, d.lastBatch) match {
-        case (Some(res), Some(batch)) =>
-          DfCompare.assertSameRows(res, c.full(batch), s"${c.spec.name} mid-adaptation epoch")
-        case _ =>
-      }
+    for (_ <- 0 until 12) {
+      val entry = rt.step()
+      val (k, batch) = served.get
+      assert(d.lastBatch.exists(_ eq batch), s"${c.spec.name} ${entry.phase} epoch $k")
+      DfCompare.assertSameRows(d.lastResult.get, c.full(c.batches(k)),
+        s"${c.spec.name} ${entry.phase} epoch $k")
     }
+    assert(rt.log.exists(_.phase == Phase.Profile), s"phases=${rt.log.map(_.phase)}")
     assert(rt.convergences.nonEmpty, s"log=${rt.log.map(l => (l.phase, l.state))}")
     assert(rt.loadFactors.forall(_ > 0.9), s"p=${rt.loadFactors}")
   }
@@ -134,19 +139,7 @@ class EpochSparkDriverSpec extends SparkSpec {
   }
 
   test("the control loop converges on Spark and stays lossless throughout") {
-    val d = newDriver(0.9)
-    val rt = new JarvisRuntime(d)
-    for (_ <- 0 until 10) {
-      rt.step()
-      // Every epoch's partitioned output equals the full query on that batch.
-      (d.lastResult, d.lastBatch) match {
-        case (Some(res), Some(batch)) =>
-          DfCompare.assertSameRows(res, Queries.s2sFull(batch), "mid-adaptation epoch")
-        case _ => // profile epochs produce no result
-      }
-    }
-    assert(rt.convergences.nonEmpty, s"log=${rt.log.map(l => (l.phase, l.state))}")
-    assert(rt.loadFactors.forall(_ > 0.9), s"p=${rt.loadFactors}")
+    convergesLosslessly(s2s, budget = 0.9)
   }
 
   test("a budget drop re-adapts to a partial plan on Spark") {

@@ -227,7 +227,10 @@ class PartitionedExecSpec extends SparkSpec {
   // ------------------------------------------------------------------
 
   private val levels = Seq(0.0, 0.35, 0.7, 1.0)
-  private val p95Grid = for (e1 <- levels; e2 <- levels if e2 <= e1) yield Seq(e1, e2)
+  /** Every non-increasing vector of `m` load factors over `levels`. */
+  private def grid(m: Int): Seq[Seq[Double]] =
+    if (m == 0) Seq(Nil) else for (e <- grid(m - 1); x <- levels if e.forall(x <= _)) yield e :+ x
+  private val p95Grid = grid(2)
 
   for (e <- p95Grid)
     test(s"LogAnalytics p95 partitioned == full and DuckDB at e=${e.mkString("(", ",", ")")}") {
@@ -289,6 +292,73 @@ class PartitionedExecSpec extends SparkSpec {
         val plan = PartitionedExec.perSource(in, chain, key, plans)
         DfCompare.assertSameRows(plan, full(in), s"$q $what $how")
         assert(plan.count() == 0, s"$q $what $how")
+      }
+    }
+
+  // ------------------------------------------------------------------
+  // Null rtt: the average is over the records that have one
+  // ------------------------------------------------------------------
+
+  /** Pings where every third record and every record to a ToR-0 ip have a
+    * null `rtt`: some groups average fewer records than they count, and
+    * some average none.
+    */
+  private lazy val nullPings = pings
+    .withColumn("rtt", when(pmod(col("recId"), lit(3)) === 0 || col("dstIp") < 8, lit(null)).otherwise(col("rtt")))
+    .cache()
+
+  for (q <- Seq("S2SProbe", "T2TProbe"))
+    test(s"$q with some null rtt equals the full query and DuckDB at every plan and per source") {
+      val (chain, full, sql) = q match {
+        case "S2SProbe" => (PartitionedExec.s2sChain, Queries.s2sFull(nullPings), Queries.s2sSql)
+        case "T2TProbe" => (PartitionedExec.t2tChain(tor), Queries.t2tFull(nullPings, tor), Queries.t2tSql)
+      }
+      val tables = Seq("pings" -> nullPings, "tormap" -> tor)
+      Oracle.assertEquivalent(full, sql, tables: _*)
+      assert(full.where(col("avg_rtt").isNull).count() > 0, "some group should have no rtt")
+      val m = chain.spec.numProxies
+      val perSource = Seq(Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)), Map.empty[Long, Seq[Double]])
+      val plans = grid(m).map(e => s"e=$e" -> PartitionedExec.global(nullPings, chain, e)) ++
+        perSource.map(p => s"per-source $p" -> PartitionedExec.perSource(nullPings, chain, "srcIp", p))
+      for ((what, plan) <- plans) {
+        DfCompare.assertSameRows(plan, full, s"$q null rtt $what")
+        Oracle.assertEquivalent(plan, sql, tables: _*)
+      }
+    }
+
+  // ------------------------------------------------------------------
+  // Lane counters: the result job measures N_0 … N_{M−1}
+  // ------------------------------------------------------------------
+
+  /** A query's chain, input, source key, full result, and the inputs of its
+    * operators built from the `Queries` stages alone.
+    */
+  private def counted(q: String): (PartitionedExec.Chain, DataFrame, String, DataFrame, Seq[DataFrame]) = {
+    val filteredPings = Queries.pingFilter(pings)
+    val filteredLines = Queries.logFilter(lines)
+    val logInputs = Seq(lines, filteredLines, Queries.logParse(filteredLines))
+    q match {
+      case "S2SProbe" => (PartitionedExec.s2sChain, pings, "srcIp", s2sRef, Seq(pings, filteredPings))
+      case "T2TProbe" => (PartitionedExec.t2tChain(tor), pings, "srcIp", t2tRef,
+        Seq(pings, filteredPings, Queries.torJoin(filteredPings, tor)))
+      case "LogAnalytics" => (PartitionedExec.logChain, lines, "sourceId", logRef, logInputs)
+      case "LogAnalytics p95" => (PartitionedExec.logP95Chain, lines, "sourceId", logP95Ref, logInputs)
+    }
+  }
+
+  for (q <- Seq("S2SProbe", "T2TProbe", "LogAnalytics", "LogAnalytics p95"))
+    test(s"$q lane counters add up to the rows entering each operator, at every plan and per source") {
+      val (chain, input, key, full, inputs) = counted(q)
+      val n = inputs.map(_.count())
+      val m = chain.spec.numProxies
+      // A load factor equal to a record's exact draw: that record is drained.
+      val onU = input.select(PartitionedExec.uCol(col("recId"))).head().getDouble(0)
+      val mapped = Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i), 2L -> Seq.fill(m)(onU))
+      val plans = (grid(m) :+ Seq.fill(m)(onU)).map(e => s"e=$e" -> PartitionedExec.global(input, chain, e)) ++
+        Seq(mapped, Map.empty[Long, Seq[Double]]).map(p => s"per-source $p" -> PartitionedExec.perSource(input, chain, key, p))
+      for ((what, plan) <- plans) {
+        DfCompare.assertSameRows(plan, full, s"$q $what")
+        assert(PartitionedExec.operatorInputs(plan, chain) == n, s"$q $what")
       }
     }
 

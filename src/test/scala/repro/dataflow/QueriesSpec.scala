@@ -66,6 +66,42 @@ class QueriesSpec extends SparkSpec {
     assert(total == expected)
   }
 
+  test("generated log lines pass the line pattern exactly when they pass a prefix check") {
+    val byPrefix = lines.filter(col("raw").startsWith("ts=") && col("raw").contains(" lat_ms="))
+    assert(byPrefix.count() > 0 && byPrefix.count() < lines.count())
+    assert(Queries.logFilter(lines).count() == byPrefix.count())
+    assert(Queries.logFilter(lines).exceptAll(byPrefix).isEmpty)
+  }
+
+  test("LogAnalytics drops the lines it cannot parse on every path, as DuckDB does") {
+    val bad = Seq(
+      "ts=2000 lat_ms=5",
+      "ts=2000 tenant=t1 job=j1 lat_ms=5 mem=10",                     // no cpu=
+      "ts=2000 tenant=t1 job=j1 lat_ms=5 cpu=1.5",                    // no mem=
+      "ts=2000 job=j1 lat_ms=5 cpu=1.5 mem=10",                       // no tenant=
+      "ts=abc tenant=t1 job=j1 lat_ms=5 cpu=1.5 mem=10",
+      "ts=12345678901234567890 tenant=t1 job=j1 lat_ms=5 cpu=1.5 mem=10",
+      "ts=2000 tenant=t1 job=j1 lat_ms=12345678901234567890 cpu=1.5 mem=10",
+      "ts=2000 tenant=t1 job=j1 lat_ms=5 cpu=1.5 mem=12345678901234567890",
+      "ts=2000 tenant=t1 job=j1 lat_ms=5 cpu=1.2.3 mem=10",
+    )
+    val good = "ts=2000 tenant=t1 job=j1 lat_ms=5 cpu=1.5 mem=10"
+    val extra = spark.createDataFrame((good +: bad).zipWithIndex.map { case (raw, i) =>
+      (1000000L + i, i % 4L, 2000L, raw)
+    }).toDF("recId", "sourceId", "ts", "raw")
+    val mixed = lines.unionByName(extra)
+    val logs = "logs" -> mixed.select("raw")
+    assert(Queries.logFilter(extra).count() == 1)
+    Oracle.assertEquivalent(Queries.logFull(mixed), Queries.logSql, logs)
+    for (e <- Seq(Seq(0.0, 0.0, 0.0), Seq(1.0, 1.0, 1.0), Seq(0.7, 0.5, 0.1)))
+      Oracle.assertEquivalent(PartitionedExec.log(mixed, e), Queries.logSql, logs)
+    for (e <- Seq(Seq(0.0, 0.0), Seq(1.0, 0.35)))
+      Oracle.assertEquivalent(PartitionedExec.global(mixed, PartitionedExec.logP95Chain, e), Queries.logP95Sql, logs)
+    val d = new EpochSparkDriver(spark, PartitionedExec.logChain, _ => mixed, 1.0)
+    d.runEpoch(Vector(1.0, 0.7, 0.5))
+    Oracle.assertEquivalent(d.lastResult.get, Queries.logSql, logs)
+  }
+
   test("LogAnalytics histogram buckets are 100ms wide") {
     val parsed = Queries.logParse(Queries.logFilter(lines))
       .withColumn("lat", col("bucket") * 100)
