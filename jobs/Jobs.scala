@@ -6,15 +6,24 @@ import repro.exp._
 /** The one Spark session builder: the spark-submit entrypoints, the tests
   * and perfbench all build their session here. Broadcast joins are disabled
   * so the joins exercise the shuffle path at the small test scales.
+  *
+  * Adaptive execution is off: the epoch driver reads its proxy counters
+  * from the plan it built, and at these batch sizes adaptive execution's
+  * per-stage jobs and re-planning cost more than its coalescing saves. With
+  * it off, an epoch's plan runs as one Spark job, and every shuffle has one
+  * partition per core of the session (`defaultParallelism`).
   */
 object JobSession {
-  def build(name: String): SparkSession =
-    SparkSession.builder
+  def build(name: String): SparkSession = {
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.adaptive.enabled", false)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism)
+    spark
+  }
 }
 
 /** T1 (Fig. 7): single-source throughput tables — pure simulator, no Spark

@@ -30,7 +30,6 @@ final case class EpochObs(
     drainedBytes: Double,
     outputBytes: Double,
 ) {
-  def netBytes: Double = drainedBytes + outputBytes
   def utilization: Double = if (cpuBudget <= 0) 1.0 else cpuDemand / cpuBudget
 }
 

@@ -98,11 +98,7 @@ object LoadFactorLP {
 
     // Recover e from t: e_i = Σ_{k ≥ i} t_k.
     val e = Vector.tabulate(m)(i => math.min(1.0, bestT.drop(i).sum))
-    val p = Vector.tabulate(m) { i =>
-      val prev = if (i == 0) 1.0 else e(i - 1)
-      if (prev < Eps) 1.0 else math.min(1.0, e(i) / prev)
-    }
-    Solution(e, p, drainedBytes(e, recRelays, bytesAtOp), cpuSec(e, recRelays, costs))
+    Solution(e, eToP(e), drainedBytes(e, recRelays, bytesAtOp), cpuSec(e, recRelays, costs))
   }
 
   /** Expected drained wire bytes per input record for a plan `e`. */

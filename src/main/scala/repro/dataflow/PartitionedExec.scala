@@ -1,9 +1,6 @@
 package repro.dataflow
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.catalyst.plans.logical.{EmptyRelation, LogicalPlan}
-import org.apache.spark.sql.execution.{CollectMetricsExec, EmptyRelationExec, SparkPlan}
-import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanHelper, LogicalQueryStage}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.model.{Calibration, QuerySpec}
 
@@ -34,7 +31,9 @@ import repro.core.model.{Calibration, QuerySpec}
   *
   * Each lane's input to operator i carries a record counter, the proxy's
   * counter of §IV-C, so the job that computes the result also measures the
-  * rows entering every operator ([[operatorInputs]]).
+  * rows entering every operator ([[operatorInputs]]). The session runs
+  * without adaptive execution (`repro.jobs.JobSession`), so the plan built
+  * here is the plan that runs and every counter in it reports.
   */
 object PartitionedExec {
 
@@ -101,33 +100,13 @@ object PartitionedExec {
   }
 
   /** N_0 … N_{M−1}: the rows that entered each operator of `chain` in the
-    * last run of `plan`, a plan [[partitioned]] built. The plan is lossless,
-    * so N_i is the sum of the counters `src<i>` and `sp<i>` of the lanes
-    * that exist.
+    * last run of `plan`, a plan [[partitioned]] built, read from the run's
+    * `observedMetrics`. The plan is lossless, so N_i is the sum of the
+    * counters `src<i>` and `sp<i>` of the lanes that exist.
     */
   def operatorInputs(plan: DataFrame, chain: Chain): Vector[Long] = {
-    val observed = Counters(plan.queryExecution.executedPlan)
+    val observed = plan.queryExecution.observedMetrics
     Vector.tabulate(chain.spec.numOps)(i => Seq(s"src$i", s"sp$i").flatMap(observed.get).map(_.getLong(0)).sum)
-  }
-
-  /** The counters of an executed plan by name. Adaptive execution replaces a
-    * query stage that produced no rows (a lane whose filter dropped every
-    * record) by an empty relation, and `QueryExecution.observedMetrics` then
-    * misses the counters that ran inside that stage; they are read from the
-    * stage the empty relation keeps.
-    */
-  private object Counters extends AdaptiveSparkPlanHelper {
-    def apply(plan: SparkPlan): Map[String, Row] =
-      collectWithSubqueries(plan) {
-        case c: CollectMetricsExec => Map(c.name -> c.collectedMetrics)
-        case EmptyRelationExec(logical) => ofStages(logical)
-      }.fold(Map.empty[String, Row])(_ ++ _)
-
-    private def ofStages(plan: LogicalPlan): Map[String, Row] =
-      plan.collect {
-        case s: LogicalQueryStage => apply(s.physicalPlan)
-        case EmptyRelation(inner) => ofStages(inner)
-      }.fold(Map.empty[String, Row])(_ ++ _)
   }
 
   /** Build a per-source plan: each data source runs its own independently

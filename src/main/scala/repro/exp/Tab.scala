@@ -18,5 +18,4 @@ object Tab {
 
   def f1(x: Double): String = f"$x%.1f"
   def f2(x: Double): String = f"$x%.2f"
-  def f3(x: Double): String = f"$x%.3f"
 }

@@ -10,8 +10,8 @@ import repro.jobs.JobSession
   * The session is built by `JobSession.build`, as the jobs and perfbench
   * build theirs, so tests and benchmark run under the same Spark settings.
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * SPARK_DRIVER_MEM; when that is unset, build.sbt takes half of physical
+  * memory, clamped to 2–8 GB.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -22,8 +22,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSession.build("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the heap setting and parallelism the
+    // tests ran under.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
