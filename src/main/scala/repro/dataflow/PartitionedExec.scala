@@ -22,18 +22,22 @@ import repro.core.model.{Calibration, QuerySpec}
   * runs at `e = 0`: every record still local there is drained, so no local
   * lane reaches an SP-only operator.
   *
-  * [[partitioned]] builds every plan. Its load factors are columns:
-  * constants for a global plan, per-record values joined from a per-source
-  * table for a per-source plan. The result is identical to the
+  * The private `partitioned` builds every plan. Its load factors are
+  * columns: constants for a global plan, per-record values joined from a
+  * per-source table for a per-source plan. The result is identical to the
   * unpartitioned query for every non-increasing `e` — the losslessness
   * Jarvis claims over data synopses — and the tests enforce that with
   * DataFrame and DuckDB oracles.
   *
-  * Each lane's input to operator i carries a record counter, the proxy's
-  * counter of §IV-C, so the job that computes the result also measures the
-  * rows entering every operator ([[operatorInputs]]). The session runs
-  * without adaptive execution (`repro.jobs.JobSession`), so the plan built
-  * here is the plan that runs and every counter in it reports.
+  * The plans of the chain-level builders, [[global]] and [[perSource]],
+  * count: each lane's input to operator i carries a record counter, the
+  * proxy's counter of §IV-C, so the job that computes the result also
+  * measures the rows entering every operator ([[operatorInputs]]). The
+  * session runs without adaptive execution (`repro.jobs.JobSession`), so
+  * the plan built here is the plan that runs and every counter in it
+  * reports. A counter splits whole-stage code generation, so the query
+  * wrappers [[s2s]], [[t2t]], [[log]] and [[s2sPerSource]], whose callers
+  * read only the result, build the same lanes with no counter.
   */
 object PartitionedExec {
 
@@ -69,11 +73,11 @@ object PartitionedExec {
     * bounds (such as `lit(0.7)` twice) and a local lane below `lit(0.0)`
     * are known to be empty and are not built.
     *
-    * Right after the drain split in front of operator i, the local lane is
-    * observed as `src<i>` and the SP lane as `sp<i>`: each counts the
-    * lane's rows entering operator i.
+    * If `counted`, right after the drain split in front of operator i, the
+    * local lane is observed as `src<i>` and the SP lane as `sp<i>`: each
+    * counts the lane's rows entering operator i.
     */
-  def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long = 77L): DataFrame = {
+  private def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long, counted: Boolean): DataFrame = {
     val m = chain.spec.numProxies
     require(e.length == m, s"chain has $m proxies, got ${e.length} load factors")
     val u = col("u")
@@ -89,8 +93,10 @@ object PartitionedExec {
         local = local.map(_.filter(u < lo))
       }
       if (lo == lit(0.0)) local = None
-      local = local.map(_.observe(s"src$i", count(lit(1))))
-      sp = sp.map(_.observe(s"sp$i", count(lit(1))))
+      if (counted) {
+        local = local.map(_.observe(s"src$i", count(lit(1))))
+        sp = sp.map(_.observe(s"sp$i", count(lit(1))))
+      }
       if (i < chain.stages.length) {
         local = local.map(chain.stages(i)(_, carry))
         sp = sp.map(chain.stages(i)(_, Nil))
@@ -100,9 +106,9 @@ object PartitionedExec {
   }
 
   /** N_0 … N_{M−1}: the rows that entered each operator of `chain` in the
-    * last run of `plan`, a plan [[partitioned]] built, read from the run's
-    * `observedMetrics`. The plan is lossless, so N_i is the sum of the
-    * counters `src<i>` and `sp<i>` of the lanes that exist.
+    * last run of `plan`, a plan [[global]] or [[perSource]] built, read
+    * from the run's `observedMetrics`. The plan is lossless, so N_i is the
+    * sum of the counters `src<i>` and `sp<i>` of the lanes that exist.
     */
   def operatorInputs(plan: DataFrame, chain: Chain): Vector[Long] = {
     val observed = plan.queryExecution.observedMetrics
@@ -112,7 +118,8 @@ object PartitionedExec {
   /** Build a per-source plan: each data source runs its own independently
     * adapted plan (the fully decentralized runtimes of §IV-A). `key` names
     * the column of `input` that identifies the source. Sources absent from
-    * `eBySource` drain everything (the Startup default).
+    * `eBySource` drain everything (the Startup default). The plan carries
+    * the lane counters [[operatorInputs]] reads.
     */
   def perSource(
       input: DataFrame,
@@ -120,6 +127,15 @@ object PartitionedExec {
       key: String,
       eBySource: Map[Long, Seq[Double]],
       seed: Long = 77L,
+  ): DataFrame = perSourcePlan(input, chain, key, eBySource, seed, counted = true)
+
+  private def perSourcePlan(
+      input: DataFrame,
+      chain: Chain,
+      key: String,
+      eBySource: Map[Long, Seq[Double]],
+      seed: Long,
+      counted: Boolean,
   ): DataFrame = {
     eBySource.values.foreach(checkPlan(chain, _))
     val spark = input.sparkSession
@@ -130,7 +146,7 @@ object PartitionedExec {
       .join(plans, col(key) === col("plan_src"), "left_outer")
       .select(input.columns.toSeq.map(col) ++
         names.indices.map(i => coalesce(col("plan_e")(i), lit(0.0)) as names(i)): _*)
-    partitioned(withE, chain, names.map(col), seed)
+    partitioned(withE, chain, names.map(col), seed, counted)
   }
 
   /** Fault-tolerance path (paper §IV-E): a failing data source leaves
@@ -158,11 +174,15 @@ object PartitionedExec {
   }
 
   /** Build the plan of `chain` over `input` under global effective load
-    * factors `e`, after checking they form a plan.
+    * factors `e`, after checking they form a plan. The plan carries the
+    * lane counters [[operatorInputs]] reads.
     */
-  def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long = 77L): DataFrame = {
+  def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long = 77L): DataFrame =
+    globalPlan(input, chain, e, seed, counted = true)
+
+  private def globalPlan(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long, counted: Boolean): DataFrame = {
     checkPlan(chain, e)
-    partitioned(input, chain, e.map(x => lit(x)), seed)
+    partitioned(input, chain, e.map(x => lit(x)), seed, counted)
   }
 
   // ------------------------------------------------------------------
@@ -259,15 +279,15 @@ object PartitionedExec {
 
   /** S2SProbe under global effective load factors `(e1, e2)`. */
   def s2s(pings: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    global(pings, s2sChain, e, seed)
+    globalPlan(pings, s2sChain, e, seed, counted = false)
 
   /** T2TProbe under global effective load factors `(e1, e2, e3)`. */
   def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    global(pings, t2tChain(tor), e, seed)
+    globalPlan(pings, t2tChain(tor), e, seed, counted = false)
 
   /** LogAnalytics under global effective load factors `(e1, e2, e3)`. */
   def log(lines: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    global(lines, logChain, e, seed)
+    globalPlan(lines, logChain, e, seed, counted = false)
 
   /** S2SProbe with per-source effective load factors `(e1, e2)`, keyed by
     * `srcIp`.
@@ -277,5 +297,6 @@ object PartitionedExec {
       eBySource: Map[Long, (Double, Double)],
       seed: Long = 77L,
   ): DataFrame =
-    perSource(pings, s2sChain, "srcIp", eBySource.map { case (s, (e1, e2)) => s -> Seq(e1, e2) }, seed)
+    perSourcePlan(pings, s2sChain, "srcIp", eBySource.map { case (s, (e1, e2)) => s -> Seq(e1, e2) }, seed,
+      counted = false)
 }

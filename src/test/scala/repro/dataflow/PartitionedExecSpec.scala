@@ -327,6 +327,40 @@ class PartitionedExecSpec extends SparkSpec {
     }
 
   // ------------------------------------------------------------------
+  // NaN rtt: it propagates through sum and max, and min skips it
+  // ------------------------------------------------------------------
+
+  /** Pings where every seventh record from source 1 has a NaN `rtt`: those
+    * groups average and peak at NaN while their minimum stays a number, and
+    * the other sources' groups have no NaN.
+    */
+  private lazy val nanPings = pings
+    .withColumn("rtt", when(col("srcIp") === 1 && pmod(col("recId"), lit(7)) === 0, lit(Double.NaN))
+      .otherwise(col("rtt")))
+    .cache()
+
+  for (q <- Seq("S2SProbe", "T2TProbe"))
+    test(s"$q with some NaN rtt equals the full query and DuckDB at every plan and per source") {
+      val (chain, full, sql) = q match {
+        case "S2SProbe" => (PartitionedExec.s2sChain, Queries.s2sFull(nanPings), Queries.s2sSql)
+        case "T2TProbe" => (PartitionedExec.t2tChain(tor), Queries.t2tFull(nanPings, tor), Queries.t2tSql)
+      }
+      val tables = Seq("pings" -> nanPings, "tormap" -> tor)
+      Oracle.assertEquivalent(full, sql, tables: _*)
+      assert(full.where(isnan(col("avg_rtt")) && isnan(col("max_rtt")) && !isnan(col("min_rtt"))).count() > 0,
+        "some group should average and peak at NaN")
+      assert(full.where(!isnan(col("avg_rtt"))).count() > 0, "some group should have no NaN")
+      val m = chain.spec.numProxies
+      val perSource = Seq(Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)), Map.empty[Long, Seq[Double]])
+      val plans = grid(m).map(e => s"e=$e" -> PartitionedExec.global(nanPings, chain, e)) ++
+        perSource.map(p => s"per-source $p" -> PartitionedExec.perSource(nanPings, chain, "srcIp", p))
+      for ((what, plan) <- plans) {
+        DfCompare.assertSameRows(plan, full, s"$q NaN rtt $what")
+        Oracle.assertEquivalent(plan, sql, tables: _*)
+      }
+    }
+
+  // ------------------------------------------------------------------
   // Lane counters: the result job measures N_0 … N_{M−1}
   // ------------------------------------------------------------------
 
@@ -360,6 +394,41 @@ class PartitionedExecSpec extends SparkSpec {
         DfCompare.assertSameRows(plan, full, s"$q $what")
         assert(PartitionedExec.operatorInputs(plan, chain) == n, s"$q $what")
       }
+    }
+
+  test("the query wrappers' plans carry no lane counter and equal the full query") {
+    val plans = Seq(
+      ("s2s at the LP plan", PartitionedExec.s2s(pings, Seq(0.7, 0.7)), s2sRef),
+      ("t2t at an interior plan", PartitionedExec.t2t(pings, tor, Seq(1.0, 0.5, 0.5)), t2tRef),
+      ("log at an interior plan", PartitionedExec.log(lines, Seq(1.0, 0.4, 0.4)), logRef),
+    ) ++ Seq(Map(0L -> (1.0, 1.0), 1L -> (0.7, 0.4)), Map.empty[Long, (Double, Double)]).map(p =>
+      (s"s2sPerSource $p", PartitionedExec.s2sPerSource(pings, p), s2sRef))
+    for ((what, plan, full) <- plans) {
+      DfCompare.assertSameRows(plan, full, what)
+      assert(plan.queryExecution.observedMetrics.isEmpty, what)
+    }
+  }
+
+  // ------------------------------------------------------------------
+  // Duplicate recIds: records that share one share their draw u
+  // ------------------------------------------------------------------
+
+  for (q <- Seq("S2SProbe", "T2TProbe", "LogAnalytics", "LogAnalytics p95"))
+    test(s"$q on an input with every recId twice equals the full query and counts every copy") {
+      val (chain, input, key, full, _) = edgeCase(q)
+      val twice = input.unionByName(input)
+      val ref = full(twice).cache()
+      val n = chain.stages.scanLeft(twice)((df, stage) => stage(df, Nil)).map(_.count())
+      assert(n.head == 2 * input.count())
+      val m = chain.spec.numProxies
+      val mapped = Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)) // others unmapped
+      val plans = grid(m).map(e => s"e=$e" -> PartitionedExec.global(twice, chain, e)) ++
+        Seq(mapped, Map.empty[Long, Seq[Double]]).map(p => s"per-source $p" -> PartitionedExec.perSource(twice, chain, key, p))
+      for ((what, plan) <- plans) {
+        DfCompare.assertSameRows(plan, ref, s"$q twice $what")
+        assert(PartitionedExec.operatorInputs(plan, chain) == n, s"$q twice $what")
+      }
+      ref.unpersist()
     }
 
   // ------------------------------------------------------------------
