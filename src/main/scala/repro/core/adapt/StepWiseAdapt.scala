@@ -39,7 +39,7 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
   private var search: Option[Search] = None
 
   /** Forget any in-flight binary search (on convergence or re-profiling). */
-  def reset(): Unit = search = None
+  private def reset(): Unit = search = None
 
   private def level(p: Double): Int = math.round(p * grid).toInt.max(0).min(grid)
   private def value(l: Int): Double = l.toDouble / grid

@@ -23,11 +23,11 @@ import repro.core.model.{Calibration, QuerySpec}
   * lane reaches an SP-only operator.
   *
   * The private `partitioned` builds every plan. Its load factors are
-  * columns: constants for a global plan, per-record values joined from a
-  * per-source table for a per-source plan. The result is identical to the
-  * unpartitioned query for every non-increasing `e` — the losslessness
-  * Jarvis claims over data synopses — and the tests enforce that with
-  * DataFrame and DuckDB oracles.
+  * columns: constants for a global plan, per-record values looked up by
+  * source key in one map literal for a per-source plan. The result is
+  * identical to the unpartitioned query for every non-increasing `e` — the
+  * losslessness Jarvis claims over data synopses — and the tests enforce
+  * that with DataFrame and DuckDB oracles.
   *
   * The plans of the chain-level builders, [[global]] and [[perSource]],
   * count: each lane's input to operator i carries a record counter, the
@@ -77,13 +77,13 @@ object PartitionedExec {
     * local lane is observed as `src<i>` and the SP lane as `sp<i>`: each
     * counts the lane's rows entering operator i.
     */
-  private def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], seed: Long, counted: Boolean): DataFrame = {
+  private def partitioned(input: DataFrame, chain: Chain, e: Seq[Column], counted: Boolean): DataFrame = {
     val m = chain.spec.numProxies
     require(e.length == m, s"chain has $m proxies, got ${e.length} load factors")
     val u = col("u")
     val carry = "u" +: input.columns.filter(c => e.contains(col(c))).toSeq
     val bounds = (lit(1.0) +: e).padTo(chain.spec.numOps + 1, lit(0.0))
-    var local: Option[DataFrame] = Some(input.withColumn("u", uCol(col("recId"), seed)))
+    var local: Option[DataFrame] = Some(input.withColumn("u", uCol(col("recId"))))
     var sp: Option[DataFrame] = None
     for (i <- 0 until chain.spec.numOps) {
       val (hi, lo) = (bounds(i), bounds(i + 1))
@@ -121,32 +121,26 @@ object PartitionedExec {
     * `eBySource` drain everything (the Startup default). The plan carries
     * the lane counters [[operatorInputs]] reads.
     */
-  def perSource(
-      input: DataFrame,
-      chain: Chain,
-      key: String,
-      eBySource: Map[Long, Seq[Double]],
-      seed: Long = 77L,
-  ): DataFrame = perSourcePlan(input, chain, key, eBySource, seed, counted = true)
+  def perSource(input: DataFrame, chain: Chain, key: String, eBySource: Map[Long, Seq[Double]]): DataFrame =
+    perSourcePlan(input, chain, key, eBySource, counted = true)
 
+  /** Each record looks its source's load factors up in one map literal, so
+    * no plan table is shuffled against the records; a missing or null key
+    * looks up as null and falls back to 0.0.
+    */
   private def perSourcePlan(
       input: DataFrame,
       chain: Chain,
       key: String,
       eBySource: Map[Long, Seq[Double]],
-      seed: Long,
       counted: Boolean,
   ): DataFrame = {
     eBySource.values.foreach(checkPlan(chain, _))
-    val spark = input.sparkSession
-    import spark.implicits._
+    val plans = typedLit(eBySource)
     val names = (1 to chain.spec.numProxies).map(i => s"e$i")
-    val plans = eBySource.toSeq.toDF("plan_src", "plan_e")
-    val withE = input
-      .join(plans, col(key) === col("plan_src"), "left_outer")
-      .select(input.columns.toSeq.map(col) ++
-        names.indices.map(i => coalesce(col("plan_e")(i), lit(0.0)) as names(i)): _*)
-    partitioned(withE, chain, names.map(col), seed, counted)
+    val withE = input.select(input.columns.toSeq.map(col) ++
+      names.indices.map(i => coalesce(element_at(plans, col(key))(i), lit(0.0)) as names(i)): _*)
+    partitioned(withE, chain, names.map(col), counted)
   }
 
   /** Fault-tolerance path (paper §IV-E): a failing data source leaves
@@ -177,12 +171,12 @@ object PartitionedExec {
     * factors `e`, after checking they form a plan. The plan carries the
     * lane counters [[operatorInputs]] reads.
     */
-  def global(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long = 77L): DataFrame =
-    globalPlan(input, chain, e, seed, counted = true)
+  def global(input: DataFrame, chain: Chain, e: Seq[Double]): DataFrame =
+    globalPlan(input, chain, e, counted = true)
 
-  private def globalPlan(input: DataFrame, chain: Chain, e: Seq[Double], seed: Long, counted: Boolean): DataFrame = {
+  private def globalPlan(input: DataFrame, chain: Chain, e: Seq[Double], counted: Boolean): DataFrame = {
     checkPlan(chain, e)
-    partitioned(input, chain, e.map(x => lit(x)), seed, counted)
+    partitioned(input, chain, e.map(x => lit(x)), counted)
   }
 
   // ------------------------------------------------------------------
@@ -278,25 +272,21 @@ object PartitionedExec {
   )
 
   /** S2SProbe under global effective load factors `(e1, e2)`. */
-  def s2s(pings: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    globalPlan(pings, s2sChain, e, seed, counted = false)
+  def s2s(pings: DataFrame, e: Seq[Double]): DataFrame =
+    globalPlan(pings, s2sChain, e, counted = false)
 
   /** T2TProbe under global effective load factors `(e1, e2, e3)`. */
-  def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    globalPlan(pings, t2tChain(tor), e, seed, counted = false)
+  def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double]): DataFrame =
+    globalPlan(pings, t2tChain(tor), e, counted = false)
 
   /** LogAnalytics under global effective load factors `(e1, e2, e3)`. */
-  def log(lines: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame =
-    globalPlan(lines, logChain, e, seed, counted = false)
+  def log(lines: DataFrame, e: Seq[Double]): DataFrame =
+    globalPlan(lines, logChain, e, counted = false)
 
   /** S2SProbe with per-source effective load factors `(e1, e2)`, keyed by
     * `srcIp`.
     */
-  def s2sPerSource(
-      pings: DataFrame,
-      eBySource: Map[Long, (Double, Double)],
-      seed: Long = 77L,
-  ): DataFrame =
-    perSourcePlan(pings, s2sChain, "srcIp", eBySource.map { case (s, (e1, e2)) => s -> Seq(e1, e2) }, seed,
+  def s2sPerSource(pings: DataFrame, eBySource: Map[Long, (Double, Double)]): DataFrame =
+    perSourcePlan(pings, s2sChain, "srcIp", eBySource.map { case (s, (e1, e2)) => s -> Seq(e1, e2) },
       counted = false)
 }

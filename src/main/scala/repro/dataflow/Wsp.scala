@@ -14,26 +14,24 @@ import org.apache.spark.sql.functions._
   */
 object Wsp {
 
-  /** Exact per-pair-window latency stats (the lossless reference). */
-  def trueStats(pings: DataFrame): DataFrame =
-    Queries.pingFilter(pings)
-      .groupBy(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp"))
-      .agg(
-        max("rtt") as "t_max",
-        min("rtt") as "t_min",
-        count(lit(1)) as "t_cnt",
-      )
+  /** Scenario 1's alert threshold on a pair-window's max RTT, in ms. */
+  private val AlertMs = 5.0
 
-  /** Sampled per-pair-window latency stats at a sampling rate. */
-  def sampledStats(pings: DataFrame, rate: Double, seed: Long = 131L): DataFrame =
-    Queries.pingFilter(pings)
-      .filter(PartitionedExec.uCol(col("recId"), seed) < rate)
-      .groupBy(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp"))
-      .agg(
-        max("rtt") as "s_max",
-        min("rtt") as "s_min",
-        count(lit(1)) as "s_cnt",
-      )
+  /** Seed of the sampling draw, independent of the load factors' draw. */
+  private val SampleSeed = 131L
+
+  /** Exact per-pair-window latency stats (the lossless reference), from
+    * [[Queries.s2sFull]].
+    */
+  def trueStats(pings: DataFrame): DataFrame =
+    Queries.s2sFull(pings)
+      .select(col("win"), col("srcIp"), col("dstIp"), col("max_rtt") as "t_max", col("min_rtt") as "t_min")
+
+  /** The same query over the records the sources forward at a sampling rate. */
+  private def sampledStats(pings: DataFrame, rate: Double): DataFrame =
+    Queries.s2sFull(pings.filter(PartitionedExec.uCol(col("recId"), SampleSeed) < rate))
+      .select(col("win"), col("srcIp"), col("dstIp"), col("max_rtt") as "s_max", col("min_rtt") as "s_min",
+        col("cnt") as "s_cnt")
 
   /** One row of the T4 table for a given sampling rate. */
   final case class SynopsisResult(
@@ -50,12 +48,10 @@ object Wsp {
       pairWindows: Long,
   )
 
-  /** Evaluate WSP at one sampling rate; `alertMs` is Scenario 1's 5 ms
-    * threshold.
-    */
-  def evaluate(pings: DataFrame, rate: Double, alertMs: Double = 5.0, seed: Long = 131L): SynopsisResult = {
+  /** Evaluate WSP at one sampling rate. */
+  def evaluate(pings: DataFrame, rate: Double): SynopsisResult = {
     val t = trueStats(pings)
-    val s = sampledStats(pings, rate, seed)
+    val s = sampledStats(pings, rate)
     val joined = t.join(s, Seq("win", "srcIp", "dstIp"), "left_outer")
       .select(
         col("t_max"), col("t_min"),
@@ -66,8 +62,8 @@ object Wsp {
       .select(
         abs((col("t_max") - col("t_min")) -
           when(col("missedPw"), lit(0.0)).otherwise(col("e_max") - col("e_min"))) as "rangeErr",
-        (col("t_max") > alertMs) as "trueAlert",
-        (!col("missedPw") && col("e_max") > alertMs) as "estAlert",
+        (col("t_max") > AlertMs) as "trueAlert",
+        (!col("missedPw") && col("e_max") > AlertMs) as "estAlert",
       )
     val row = joined
       .select(

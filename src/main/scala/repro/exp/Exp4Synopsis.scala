@@ -29,12 +29,11 @@ object Exp4Synopsis {
 
   /** Pingmesh-like fan-out: 12 probes per epoch over 20 peers gives ~6
     * probes per (src, dst) pair per 10-second window, matching the paper's
-    * one-probe-per-pair-per-5s schedule. Default sizing: 150 sources × 60
+    * one-probe-per-pair-per-5s schedule. Sizing: 150 sources × 60
     * epochs × 12 probes = 108,000 records (about 9.3 MB at 86 B each).
     */
-  def wspRows(spark: SparkSession, nSources: Int = 150, nPeers: Int = 20,
-              nEpochs: Int = 60): Vector[Wsp.SynopsisResult] = {
-    val pings = MonitoringData.pingmesh(spark, nSources, nPeers, nEpochs,
+  def wspRows(spark: SparkSession): Vector[Wsp.SynopsisResult] = {
+    val pings = MonitoringData.pingmesh(spark, nSources = 150, nPeers = 20, nEpochs = 60,
       probesPerEpoch = 12, anomalyPairRate = 0.02).cache()
     try SamplingRates.map(r => Wsp.evaluate(pings, r))
     finally pings.unpersist()

@@ -125,15 +125,13 @@ object ClusterSim {
       budgetCores: Double,
       inputMbps: Double,
       nSources: Int,
-      linkMbps: Double = Calibration.PerQueryLinkMbps,
-      spCores: Double = Calibration.SpCoresScaling,
   ): ScalingResult = {
     val rate = q.recsPerSecFor(inputMbps)
     val e = strategy.effectiveLoadFactors(q, budgetCores, rate)
     val perf = sourcePerf(q, e, budgetCores, rate, strategy.drainsOverflow)
 
-    val netUtil = nSources * perf.netMbps / linkMbps
-    val spUtil = nSources * perf.spDemandCores / spCores
+    val netUtil = nSources * perf.netMbps / Calibration.PerQueryLinkMbps
+    val spUtil = nSources * perf.spDemandCores / Calibration.SpCoresScaling
     val u = math.max(netUtil, spUtil)
     val perSourceIn = math.min(q.mbps(perf.processLimitRecsPerSec), inputMbps)
     val agg = nSources * perSourceIn * math.min(1.0, 1.0 / math.max(u, 1e-9))
@@ -150,17 +148,16 @@ object ClusterSim {
     ScalingResult(strategy.name, nSources, agg, perf.netMbps, netUtil, medianMs, maxMs)
   }
 
-  /** Largest source count for which aggregate throughput still scales
-    * linearly (within `tolerance` of N × input rate).
+  /** Largest source count, up to 300, for which aggregate throughput still
+    * scales linearly (within 2 % of N × input rate).
     */
   def maxSupportedSources(
       q: QuerySpec,
       strategy: PartitionStrategy,
       budgetCores: Double,
       inputMbps: Double,
-      upTo: Int = 300,
-      tolerance: Double = 0.98,
   ): Int = {
+    val (upTo, tolerance) = (300, 0.98)
     var best = 0
     for (n <- 1 to upTo) {
       val r = multiSourceThroughput(q, strategy, budgetCores, inputMbps, n)

@@ -68,8 +68,9 @@ object ConvergenceStudy {
     QuerySpec(s"synthetic-$m", ops, recBytes, rate)
   }
 
-  /** Run the study for one operator count. `capEpochs` bounds each run. */
-  def run(m: Int, capEpochs: Int = 120): StudyResult = {
+  /** Run the study for one operator count; each run is cut at 120 epochs. */
+  def run(m: Int): StudyResult = {
+    val capEpochs = 120
     val rate = 10000.0
     val budget = 1.0
     var results = Vector.empty[Int]

@@ -51,17 +51,12 @@ object MultiQuerySim {
     )
   }
 
-  /** Largest query count whose aggregate throughput is still within
-    * `tolerance` of ideal (nQueries × input rate) — the paper's "supports
-    * up to N queries".
+  /** Largest query count, up to 40, whose aggregate throughput is still
+    * within 5 % of ideal (nQueries × input rate) — the paper's "supports up
+    * to N queries".
     */
-  def maxSupportedQueries(
-      cores: Int,
-      perQueryDemandCores: Double,
-      perQueryInputMbps: Double,
-      upTo: Int = 40,
-      tolerance: Double = 0.95,
-  ): Int =
+  def maxSupportedQueries(cores: Int, perQueryDemandCores: Double, perQueryInputMbps: Double): Int = {
+    val (upTo, tolerance) = (40, 0.95)
     (1 to upTo)
       .takeWhile { n =>
         val r = aggregateThroughput(cores, n, perQueryDemandCores, perQueryInputMbps)
@@ -69,4 +64,5 @@ object MultiQuerySim {
       }
       .lastOption
       .getOrElse(0)
+  }
 }

@@ -1,48 +1,41 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.dataflow.MonitoringData
 
-/** Sanity of the provided DuckDB oracle + TPC-H-lite generators themselves,
-  * so a broken oracle cannot silently validate the reproduction.
+/** Sanity of the DuckDB oracle itself, over the Pingmesh stream the
+  * reproduction runs on, so a broken oracle cannot silently validate it.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002).cache()
+  private lazy val pings = MonitoringData.pingmesh(spark, nSources = 6, nPeers = 20, nEpochs = 24).cache()
 
   test("oracle agrees on a simple aggregate") {
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
+    val agg = pings.groupBy("errCode")
+      .agg(count(lit(1)) as "cnt", sum("rtt") as "rtt_sum", max("rtt") as "rtt_max")
     Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY 1""".stripMargin,
-      "lineitem" -> li)
+      """SELECT CAST(errCode AS INT) AS errCode, count(*) AS cnt,
+        |       sum(CAST(rtt AS DOUBLE)) AS rtt_sum, max(CAST(rtt AS DOUBLE)) AS rtt_max
+        |FROM pings GROUP BY 1""".stripMargin,
+      "pings" -> pings)
   }
 
   test("oracle catches a wrong result") {
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1) as "cnt")
+    val wrong = pings.groupBy("errCode").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY 1",
-        "lineitem" -> li)
+        "SELECT CAST(errCode AS INT) AS errCode, count(*) AS cnt FROM pings GROUP BY 1",
+        "pings" -> pings)
     }
   }
 
   test("oracle catches a column-name mismatch") {
-    val agg = li.groupBy("l_returnflag").agg(count(lit(1)) as "n")
+    val agg = pings.groupBy("errCode").agg(count(lit(1)) as "n")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(agg,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY 1",
-        "lineitem" -> li)
+        "SELECT CAST(errCode AS INT) AS errCode, count(*) AS cnt FROM pings GROUP BY 1",
+        "pings" -> pings)
     }
-  }
-
-  test("synthetic lineitem is deterministic in (sf, seed)") {
-    val again = SynthData.lineitem(spark, sf = 0.002)
-    DfCompare.assertSameRows(
-      li.groupBy("l_returnflag").agg(round(sum("l_extendedprice"), 2) as "s"),
-      again.groupBy("l_returnflag").agg(round(sum("l_extendedprice"), 2) as "s"),
-    )
   }
 
   /** One `(k, v)` row, and the SQL that reads such a table back. */

@@ -502,6 +502,24 @@ class PartitionedExecSpec extends SparkSpec {
       assert(shape(build(e)) == expected, "(input scans, joins)")
     }
 
+  for (q <- Seq("S2SProbe", "T2TProbe", "LogAnalytics"))
+    test(s"$q per-source plans look their load factors up: no join but the query's own") {
+      val (chain, input, key, _, _) = edgeCase(q)
+      val m = chain.spec.numProxies
+      val mapped = Map(0L -> Seq.fill(m)(1.0), 1L -> Seq.tabulate(m)(i => 0.7 - 0.3 * i)) // others unmapped
+      for ((how, plans) <- Seq("mapped" -> mapped, "unmapped" -> Map.empty[Long, Seq[Double]])) {
+        val plan = PartitionedExec.perSource(input, chain, key, plans)
+        if (q == "T2TProbe") {
+          // Each of the query's ToR lookups joins a lane with the `tor` table,
+          // whose columns `Queries.torJoin` renames.
+          val torCols = Set("s_ip", "srcTor", "d_ip", "dstTor")
+          val readsTor = (j: Join) => Seq(j.left, j.right).exists(_.output.forall(a => torCols(a.name)))
+          val joins = plan.queryExecution.optimizedPlan.collect { case j: Join => j }
+          assert(joins.nonEmpty && joins.forall(readsTor), s"$q $how")
+        } else assert(shape(plan)._2 == 0, s"$q $how: joins")
+      }
+    }
+
   test("LogAnalytics p95 computes its one percentile on the SP at every plan") {
     for (e <- p95Grid) {
       val plan = PartitionedExec.global(lines, PartitionedExec.logP95Chain, e).queryExecution.optimizedPlan
