@@ -1,7 +1,7 @@
 package repro.core.adapt
 
 import repro.core.lp.LoadFactorLP
-import repro.core.model.Calibration.{DetectEpochs, DrainedThres, IdleThres, LoadFactorGrid}
+import repro.core.model.Calibration.{DetectEpochs, LoadFactorGrid}
 
 /** Cost/relay/budget estimates produced by a Profile epoch (paper §IV-C).
   *
@@ -127,60 +127,61 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
     LoadFactorLP.eToP(eg).map(x => math.round(x * LoadFactorGrid).toDouble / LoadFactorGrid)
   }
 
-  private def classify(obs: EpochObs): PipelineState =
-    PipelineState.classify(obs, pVec, DrainedThres, IdleThres)
-
-  /** Advance the control loop by one epoch. Returns this epoch's log entry. */
+  /** Advance the control loop by one epoch: run the executor once, then
+    * decide from what it returned. Returns this epoch's log entry.
+    */
   def step(): EpochLog = {
-    val entry = phase match {
-      case Phase.Startup =>
+    val entry =
+      if (phase == Phase.Profile) adaptFrom(executor.runProfileEpoch(), executor.observedByteRelays)
+      else {
         val obs = executor.runEpoch(pVec)
-        phase = Phase.Probe
-        nonStableStreak = 0
-        EpochLog(epochIdx, Phase.Startup, classify(obs), pVec, Some(obs))
+        decide(obs, PipelineState.classify(obs, pVec))
+      }
+    epochIdx += 1
+    logBuf += entry
+    entry
+  }
 
+  /** Profile's transition: seed Adapt from the estimates and restart the
+    * fine-tuner on the byte relays.
+    */
+  private def adaptFrom(est: ProfileEstimates, byteRelays: Vector[Double]): EpochLog = {
+    pVec =
+      if (config.lpInit)
+        discretize(LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec).e)
+      else Vector.fill(m)(0.0)
+    tuner = new StepWiseAdapt(byteRelays, LoadFactorGrid)
+    adaptEpochsCurrent = 0
+    phase = Phase.Adapt
+    EpochLog(epochIdx, Phase.Profile, PipelineState.Stable, pVec, None)
+  }
+
+  /** The transition of Startup, Probe or Adapt on an epoch that ran under
+    * `pVec`, observed as `obs` in state `st`. The detection streak is zero
+    * whenever Probe is entered: only Probe counts it, and it resets it on
+    * leaving.
+    */
+  private def decide(obs: EpochObs, st: PipelineState): EpochLog = {
+    val ran = phase
+    ran match {
+      case Phase.Startup => phase = Phase.Probe
       case Phase.Probe =>
-        val obs = executor.runEpoch(pVec)
-        val st = classify(obs)
-        if (st == PipelineState.Stable) nonStableStreak = 0
-        else nonStableStreak += 1
+        nonStableStreak = if (st == PipelineState.Stable) 0 else nonStableStreak + 1
         if (nonStableStreak >= DetectEpochs) {
           phase = Phase.Profile
           nonStableStreak = 0
         }
-        EpochLog(epochIdx, Phase.Probe, st, pVec, Some(obs))
-
-      case Phase.Profile =>
-        val est = executor.runProfileEpoch()
-        pVec =
-          if (config.lpInit) {
-            val sol = LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec)
-            discretize(sol.e)
-          } else Vector.fill(m)(0.0)
-        tuner = new StepWiseAdapt(executor.observedByteRelays, LoadFactorGrid)
-        adaptEpochsCurrent = 0
-        phase = Phase.Adapt
-        EpochLog(epochIdx, Phase.Profile, PipelineState.Stable, pVec, None)
-
-      case Phase.Adapt =>
-        val obs = executor.runEpoch(pVec)
-        val st = classify(obs)
+      case _ => // Adapt; a Profile epoch goes to adaptFrom
         adaptEpochsCurrent += 1
         if (st == PipelineState.Stable) {
           convBuf += adaptEpochsCurrent
           phase = Phase.Probe
-          nonStableStreak = 0
-        } else if (config.fineTune) {
-          pVec = tuner.step(pVec, st, obs.utilization)
-        }
+        } else if (config.fineTune) pVec = tuner.step(pVec, st, obs.utilization)
         // LP-only keeps its plan; if it is not stable it stays non-stable
         // (paper §VI-C: "inaccurate profiling prevents LP only from
         // stabilizing the query").
-        EpochLog(epochIdx, Phase.Adapt, st, pVec, Some(obs))
     }
-    epochIdx += 1
-    logBuf += entry
-    entry
+    EpochLog(epochIdx, ran, st, pVec, Some(obs))
   }
 
   /** Run `n` epochs. */

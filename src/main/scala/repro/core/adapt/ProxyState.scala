@@ -1,5 +1,7 @@
 package repro.core.adapt
 
+import repro.core.model.Calibration.{DrainedThres, IdleThres}
+
 /** Observation of one control proxy over one epoch.
   *
   * @param incoming  records that arrived at the proxy
@@ -50,24 +52,19 @@ object PipelineState {
   case object Stable extends PipelineState
 
   /** Classify an epoch observation (paper §IV-C: the plan is non-stable if
-    * all operators are idle or at least one operator is congested).
+    * all operators are idle or at least one operator is congested), against
+    * `Calibration.DrainedThres` (tolerated forced-drain fraction per proxy)
+    * and `Calibration.IdleThres` (tolerated spare-budget fraction).
     *
-    * @param obs          the epoch observation
-    * @param p            the load factors the epoch ran with
-    * @param drainedThres tolerated forced-drain fraction per proxy
-    * @param idleThres    tolerated spare-budget fraction
+    * @param obs the epoch observation
+    * @param p   the load factors the epoch ran with
     */
-  def classify(
-      obs: EpochObs,
-      p: Vector[Double],
-      drainedThres: Double,
-      idleThres: Double,
-  ): PipelineState = {
+  def classify(obs: EpochObs, p: Vector[Double]): PipelineState = {
     val congested = obs.proxies.exists { px =>
-      px.intended > 1e-9 && px.forcedDrain / px.intended > drainedThres
+      px.intended > 1e-9 && px.forcedDrain / px.intended > DrainedThres
     }
     if (congested) Congested
-    else if (obs.utilization < 1.0 - idleThres && p.exists(_ < 1.0 - 1e-9)) Idle
+    else if (obs.utilization < 1.0 - IdleThres && p.exists(_ < 1.0 - 1e-9)) Idle
     else Stable
   }
 }

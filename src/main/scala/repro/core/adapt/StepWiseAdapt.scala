@@ -72,9 +72,8 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
           case Some(s) =>
             if (s.dir == Raise && util <= s.utilBefore + 1e-6 && s.cur > level(0.0)) {
               // Flat objective: the operator sees no records — settle at max.
-              val next = p.updated(s.op, 1.0)
               search = None
-              pickNext(next, Raise, util)
+              startSearch(p.updated(s.op, 1.0), Raise, util)
             } else {
               // The probed level leaves slack — feasible, push further.
               s.lo = s.cur
@@ -86,6 +85,9 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
     }
   }
 
+  /** Open a search on the first operator in `dir`'s priority order that
+    * can still move that way, and emit its first probe.
+    */
   private def startSearch(p: Vector[Double], dir: Dir, util: Double): Vector[Double] = {
     val opOpt = dir match {
       case Raise => priorityOrder.find(i => p(i) < 1.0 - 1e-9)
@@ -108,18 +110,13 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
   /** Advance a search after updating its bounds; emit the next probe. */
   private def continue(s: Search, p: Vector[Double], util: Double): Vector[Double] =
     if (s.hi - s.lo <= 1) {
-      // Interval collapsed: settle at the feasible bound.
+      // Interval collapsed: settle at the feasible bound. A raise that
+      // settles at p = 1 opens the next operator's search at once (saves
+      // an observation epoch); any other settlement waits for the next
+      // non-stable observation.
       val settled = p.updated(s.op, value(s.lo))
-      val settledOp = s.op
-      val dir = s.dir
       search = None
-      if (dir == Lower && s.lo == 0) {
-        // Fully offloaded and possibly still congested — move to the next
-        // lowest-priority operator on the next congested observation.
-        settled
-      } else if (dir == Raise && s.lo >= grid) {
-        pickNext(settled.updated(settledOp, 1.0), Raise, util)
-      } else settled
+      if (s.dir == Raise && s.lo >= grid) startSearch(settled, Raise, util) else settled
     } else probe(s, p)
 
   /** Probe the midpoint of the current interval. */
@@ -135,13 +132,4 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
       p.updated(s.op, value(midClamped))
     }
   }
-
-  /** After settling one operator at p = 1, immediately open a search on the
-    * next adjustable operator in priority order (saves an observation epoch).
-    */
-  private def pickNext(p: Vector[Double], dir: Dir, util: Double): Vector[Double] =
-    priorityOrder.find(i => p(i) < 1.0 - 1e-9) match {
-      case Some(_) => startSearch(p, dir, util)
-      case None    => p
-    }
 }

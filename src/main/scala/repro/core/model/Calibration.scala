@@ -148,14 +148,18 @@ object Calibration {
   // Calibrated query specs
   // ------------------------------------------------------------------
 
+  /** Pingmesh F, the first operator of S2SProbe and T2TProbe: keeps the
+    * errCode == 0 probes.
+    */
+  private val pingmeshFilter: OperatorSpec = OperatorSpec(
+    name = "F", kind = OpKind.Filter,
+    costSecPerRec = S2SFilterCores / PingmeshRecsPerSec,
+    recRelay = S2SFilterKeep,
+    bytesInPerRec = PingmeshRecBytes, bytesOutPerRec = PingmeshRecBytes,
+  )
+
   /** S2SProbe (Listing 1): W → F → G+R over Pingmesh records. */
   val s2sProbe: QuerySpec = {
-    val f = OperatorSpec(
-      name = "F", kind = OpKind.Filter,
-      costSecPerRec = S2SFilterCores / PingmeshRecsPerSec,
-      recRelay = S2SFilterKeep,
-      bytesInPerRec = PingmeshRecBytes, bytesOutPerRec = PingmeshRecBytes,
-    )
     val gr = OperatorSpec(
       name = "G+R", kind = OpKind.GroupReduce,
       costSecPerRec = S2SGroupReduceCores / (S2SFilterKeep * PingmeshRecsPerSec),
@@ -163,19 +167,13 @@ object Calibration {
       bytesInPerRec = PingmeshRecBytes, bytesOutPerRec = S2SAggRecBytes,
       groupCount = S2SGroups, windowEpochs = WindowEpochs,
     )
-    QuerySpec("S2SProbe", Vector(f, gr), PingmeshRecBytes, PingmeshRecsPerSec)
+    QuerySpec("S2SProbe", Vector(pingmeshFilter, gr), PingmeshRecBytes, PingmeshRecsPerSec)
   }
 
   /** T2TProbe (Listing 2): W → F → J(ip→ToR) → G+R, parameterized by the
     * static table size.
     */
   def t2tProbe(tableSize: Long = T2TTableSizeRef): QuerySpec = {
-    val f = OperatorSpec(
-      name = "F", kind = OpKind.Filter,
-      costSecPerRec = S2SFilterCores / PingmeshRecsPerSec,
-      recRelay = S2SFilterKeep,
-      bytesInPerRec = PingmeshRecBytes, bytesOutPerRec = PingmeshRecBytes,
-    )
     val j = OperatorSpec(
       name = "J", kind = OpKind.Join,
       costSecPerRec = t2tJoinCores(tableSize) / (S2SFilterKeep * PingmeshRecsPerSec),
@@ -189,7 +187,7 @@ object Calibration {
       bytesInPerRec = T2TJoinedRecBytes, bytesOutPerRec = S2SAggRecBytes,
       groupCount = T2TGroups, windowEpochs = WindowEpochs,
     )
-    QuerySpec("T2TProbe", Vector(f, j, gr), PingmeshRecBytes, PingmeshRecsPerSec)
+    QuerySpec("T2TProbe", Vector(pingmeshFilter, j, gr), PingmeshRecBytes, PingmeshRecsPerSec)
   }
 
   /** LogAnalytics (Listing 3): W → F(valid line) → M(parse) → G+R(histogram)

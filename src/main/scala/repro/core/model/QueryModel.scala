@@ -1,6 +1,6 @@
 package repro.core.model
 
-import repro.core.adapt.{EpochObs, ProxyObs}
+import repro.core.adapt.{EpochObs, ProfileEstimates, ProxyObs}
 import repro.core.plan.{LogicalOperator, QueryPlanner}
 
 /** Kind of a stream operator in a monitoring query DAG (paper §II-A).
@@ -198,6 +198,16 @@ final case class QuerySpec(
 
   /** Wire bytes per record at the input of each operator (length M). */
   def bytesAtOp: Vector[Double] = ops.map(_.bytesInPerRec)
+
+  /** What an exact Profile epoch estimates at `recsPerSec` input records
+    * per second under `budgetCores` (paper §IV-C): the calibrated costs,
+    * the record relays, the input sizes and the budget per record, with a
+    * rate below one record per second counted as one.
+    */
+  def estimates(recsPerSec: Double, budgetCores: Double): ProfileEstimates = {
+    val r = math.max(recsPerSec, 1.0)
+    ProfileEstimates(ops.map(_.costSecPerRec), recRelaysAt(r), bytesAtOp, budgetCores / r)
+  }
 
   /** Input megabits per second at a given record rate. */
   def mbps(recsPerSec: Double): Double = recsPerSec * inputRecBytes * 8 / 1e6

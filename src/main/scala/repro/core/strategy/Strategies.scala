@@ -88,11 +88,10 @@ object PartitionStrategy {
     val name = "Jarvis"
     def effectiveLoadFactors(q: QuerySpec, budgetCores: Double, inputRate: Double): Vector[Double] =
       if (inputRate <= 0) Vector.fill(q.numOps)(1.0)
-      else
-        LoadFactorLP
-          .solve(q.ops.map(_.costSecPerRec), q.recRelaysAt(inputRate), q.bytesAtOp,
-            budgetCores / inputRate)
-          .e
+      else {
+        val est = q.estimates(inputRate, budgetCores)
+        LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec).e
+      }
   }
 
   val all: Vector[PartitionStrategy] = Vector(AllSp, AllSrc, FilterSrc, BestOp, LbDp, Jarvis)

@@ -84,11 +84,6 @@ final class EpochSparkDriver(
     */
   def runProfileEpoch(): ProfileEstimates = {
     val (spec, n0) = execute(Vector.fill(numOps)(0.0))
-    ProfileEstimates(
-      costs = spec.ops.map(_.costSecPerRec),
-      recRelays = spec.recRelaysAt(math.max(n0, 1.0)),
-      bytesAtOp = spec.bytesAtOp,
-      budgetPerRec = budgetCores / math.max(n0 / Calibration.EpochSeconds, 1.0),
-    )
+    spec.estimates(n0 / Calibration.EpochSeconds, budgetCores)
   }
 }

@@ -3,6 +3,7 @@ package repro.dataflow
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.core.model.Calibration
 
 /** Synthetic monitoring streams substituting for the paper's production
   * traces (DESIGN.md §2): a Pingmesh-like probe stream and a Helios-like
@@ -11,11 +12,17 @@ import org.apache.spark.sql.types._
   */
 object MonitoringData {
 
-  /** Window length of the monitoring queries (Listing 1: 10 s). */
-  val WindowMs: Long = 10000L
-
   /** Epoch length (paper §IV-C: 1 s). */
-  val EpochMs: Long = 1000L
+  val EpochMs: Long = (Calibration.EpochSeconds * 1000).toLong
+
+  /** Window length of the monitoring queries (Listing 1: 10 s). */
+  val WindowMs: Long = Calibration.WindowEpochs * EpochMs
+
+  /** Fraction of probes with errCode ≠ 0: what S2SProbe's filter drops. */
+  private val ErrRate: Double = 1 - Calibration.S2SFilterKeep
+
+  /** Fraction of log lines malformed: what LogAnalytics' filter drops. */
+  private val MalformedRate: Double = 1 - Calibration.LogFilterKeep
 
   /** Pingmesh-like probe records (§II-B1): 86-byte records with timestamp,
     * src/dst IP and cluster, RTT and error code. The RTT distribution has a
@@ -27,7 +34,6 @@ object MonitoringData {
     * @param nPeers          probe fan-out per source (dstIp ∈ [0, nPeers))
     * @param nEpochs         1-second epochs of data to generate
     * @param probesPerEpoch  probes each source sends per epoch
-    * @param errRate         fraction of records with errCode ≠ 0 (paper: 14 %)
     * @param anomalyPairRate fraction of (src,dst,window) triples with latency
     *                        spikes
     */
@@ -37,7 +43,6 @@ object MonitoringData {
       nPeers: Int,
       nEpochs: Int,
       probesPerEpoch: Int = 4,
-      errRate: Double = 0.14,
       anomalyPairRate: Double = 0.02,
       seed: Long = 11L,
   ): DataFrame = {
@@ -76,7 +81,7 @@ object MonitoringData {
           round(when(isAnomalousPw && recSpikeDraw < 700, base + spike).otherwise(base), 4)
         } as "rtt",
         when(
-          pmod(xxhash64(col("recId"), lit(seed + 6)), lit(1000L)) < lit((errRate * 1000).toLong),
+          pmod(xxhash64(col("recId"), lit(seed + 6)), lit(1000L)) < lit((ErrRate * 1000).toLong),
           pmod(xxhash64(col("recId"), lit(seed + 7)), lit(3L)).cast(IntegerType) + 1,
         ).otherwise(0) as "errCode",
       )
@@ -101,7 +106,6 @@ object MonitoringData {
       nTenants: Int,
       nEpochs: Int,
       linesPerEpoch: Int = 8,
-      malformedRate: Double = 0.05,
       seed: Long = 23L,
   ): DataFrame = {
     val rows = nSources.toLong * nEpochs * linesPerEpoch
@@ -116,7 +120,7 @@ object MonitoringData {
         round(pmod(xxhash64(col("id"), lit(seed + 3)), lit(1000L)) / 10.0, 1) as "cpu",
         pmod(xxhash64(col("id"), lit(seed + 4)), lit(8192L)) as "mem",
         (pmod(xxhash64(col("id"), lit(seed + 5)), lit(1000L)) <
-          lit((malformedRate * 1000).toLong)) as "malformed",
+          lit((MalformedRate * 1000).toLong)) as "malformed",
       )
       .select(
         col("recId"),

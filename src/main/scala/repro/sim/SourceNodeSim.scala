@@ -58,24 +58,18 @@ final class SourceNodeSim(
   }
 
   def runProfileEpoch(): ProfileEstimates = {
-    val ops = querySpec.ops
+    val est = querySpec.estimates(inputRecsPerSec, budgetCores)
     val n = inputRecsPerSec * Calibration.EpochSeconds
     val slice = budgetCores * Calibration.EpochSeconds / numOps
     val avail = querySpec.recProducts(math.max(inputRecsPerSec, 1.0)).take(numOps).map(_ * n)
-    val costs = Vector.tabulate(numOps) { i =>
-      val c = ops(i).costSecPerRec
+    est.copy(costs = Vector.tabulate(numOps) { i =>
+      val c = est.costs(i)
       val processable = if (c <= 0) Double.MaxValue else slice / c
       val accuracy = math.min(1.0, processable / math.max(avail(i), 1.0))
       // Under-sampled operators look cheaper than they are; a seeded jitter
       // keeps repeated profiles from being identical.
       val bias = profileNoiseMag * (1.0 - accuracy) * (0.7 + 0.3 * rng.next())
       c * (1.0 - bias)
-    }
-    ProfileEstimates(
-      costs = costs,
-      recRelays = querySpec.recRelaysAt(math.max(inputRecsPerSec, 1.0)),
-      bytesAtOp = querySpec.bytesAtOp,
-      budgetPerRec = budgetCores / math.max(inputRecsPerSec, 1.0),
-    )
+    })
   }
 }

@@ -11,6 +11,7 @@ import repro.sim.SourceNodeSim
   * (paper Fig. 6) over the data-source simulator.
   */
 class JarvisRuntimeSpec extends AnyFunSuite {
+  import JarvisRuntimeSpec._
 
   private def s2sSim(budget: Double, noise: Double = 0.0) =
     new SourceNodeSim(Calibration.s2sProbe, budget, Calibration.PingmeshRecsPerSec,
@@ -142,43 +143,114 @@ class JarvisRuntimeSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------------------------------
+  // Replay: the runtime decides from what its executor returned
+  // ------------------------------------------------------------------
+
+  /** Forwards every call to `inner` and records it, in order. */
+  private final class Recording(inner: EpochExecutor) extends EpochExecutor {
+    val calls = collection.mutable.ArrayBuffer.empty[Call]
+    def numOps: Int = inner.numOps
+    def runEpoch(p: Vector[Double]): EpochObs = {
+      val obs = inner.runEpoch(p); calls += Ran(p, obs); obs
+    }
+    def runProfileEpoch(): ProfileEstimates = {
+      val est = inner.runProfileEpoch(); calls += Profiled(est); est
+    }
+    def observedByteRelays: Vector[Double] = {
+      val r = inner.observedByteRelays; calls += Relays(r); r
+    }
+  }
+
+  /** Returns recorded results in order; each call must be the recorded one. */
+  private final class Replaying(val numOps: Int, calls: Seq[Call]) extends EpochExecutor {
+    private val next = calls.iterator
+    def exhausted: Boolean = !next.hasNext
+    def runEpoch(p: Vector[Double]): EpochObs = next.next() match {
+      case Ran(q, obs) => assert(p == q, "requested p differs from the recorded run"); obs
+      case c           => fail(s"runEpoch($p) where the recording has $c")
+    }
+    def runProfileEpoch(): ProfileEstimates = next.next() match {
+      case Profiled(est) => est
+      case c             => fail(s"runProfileEpoch() where the recording has $c")
+    }
+    def observedByteRelays: Vector[Double] = next.next() match {
+      case Relays(r) => r
+      case c         => fail(s"observedByteRelays where the recording has $c")
+    }
+  }
+
+  test("control decisions are a pure function of what the executor returned") {
+    def budget(b: Double): SourceNodeSim => Unit = _.budgetCores = b
+    def rate(r: Double): SourceNodeSim => Unit = _.inputRecsPerSec = r
+    def spec(q: QuerySpec): SourceNodeSim => Unit = _.setSpec(q)
+    val pings = Calibration.PingmeshRecsPerSec
+    val logs = Calibration.LogRecsPerSec
+    val scenarios = Seq(
+      (Calibration.s2sProbe, 0.9, pings, Map(15 -> budget(0.5), 30 -> rate(1.4 * pings), 45 -> budget(0.75))),
+      (Calibration.logAnalytics, 0.25, logs, Map(15 -> budget(0.15), 30 -> rate(1.5 * logs), 45 -> budget(0.3))),
+      (Calibration.t2tProbe(), 0.8, pings, Map(20 -> spec(Calibration.t2tProbe(1000)), 35 -> budget(0.5))),
+    )
+    val epochs = 60
+    for ((q, b, r, changes) <- scenarios;
+         config <- Seq(RuntimeConfig.Jarvis, RuntimeConfig.LpOnly, RuntimeConfig.NoLpInit)) {
+      val what = s"${q.name} $config"
+      val sim = new SourceNodeSim(q, b, r, profileNoiseMag = 0.35)
+      val rec = new Recording(sim)
+      val live = new JarvisRuntime(rec, config)
+      for (k <- 0 until epochs) {
+        changes.get(k).foreach(_(sim))
+        live.step()
+      }
+      val profiles = rec.calls.count(_.isInstanceOf[Profiled])
+      // With fine-tuning, every change above re-adapts.
+      assert(profiles >= (if (config.fineTune) 3 else 1), s"$what: $profiles Profile epochs")
+      val replay = new Replaying(sim.numOps, rec.calls.toVector)
+      val again = new JarvisRuntime(replay, config)
+      again.run(epochs)
+      assert(replay.exhausted, s"$what: the replay left recorded calls unmade")
+      assert(again.log == live.log, what)
+      assert(again.convergences == live.convergences, what)
+    }
+  }
+
+  // ------------------------------------------------------------------
   // Classification thresholds (anti-oscillation, §IV-C)
   // ------------------------------------------------------------------
 
   test("mild under-utilization within IdleThres is stable") {
     val obs = EpochObs(Vector(ProxyObs(100, 50, 50)), cpuDemand = 0.95, cpuBudget = 1.0,
       drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(0.5), 0.05, 0.10) == PipelineState.Stable)
+    assert(PipelineState.classify(obs, Vector(0.5)) == PipelineState.Stable)
   }
 
   test("under-utilization beyond IdleThres with p < 1 is idle") {
     val obs = EpochObs(Vector(ProxyObs(100, 50, 50)), cpuDemand = 0.5, cpuBudget = 1.0,
       drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(0.5), 0.05, 0.10) == PipelineState.Idle)
+    assert(PipelineState.classify(obs, Vector(0.5)) == PipelineState.Idle)
   }
 
   test("under-utilization with all p = 1 is stable (nothing to raise)") {
     val obs = EpochObs(Vector(ProxyObs(100, 100, 100)), cpuDemand = 0.2, cpuBudget = 1.0,
       drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(1.0), 0.05, 0.10) == PipelineState.Stable)
+    assert(PipelineState.classify(obs, Vector(1.0)) == PipelineState.Stable)
   }
 
   test("forced drains within DrainedThres are tolerated") {
     val obs = EpochObs(Vector(ProxyObs(100, 100, 97)), cpuDemand = 1.0, cpuBudget = 1.0,
       drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(1.0), 0.05, 0.10) == PipelineState.Stable)
+    assert(PipelineState.classify(obs, Vector(1.0)) == PipelineState.Stable)
   }
 
   test("forced drains beyond DrainedThres are congested") {
     val obs = EpochObs(Vector(ProxyObs(100, 100, 80)), cpuDemand = 1.2, cpuBudget = 1.0,
       drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(1.0), 0.05, 0.10) == PipelineState.Congested)
+    assert(PipelineState.classify(obs, Vector(1.0)) == PipelineState.Congested)
   }
 
   test("congestion on any proxy dominates idleness elsewhere") {
     val obs = EpochObs(Vector(ProxyObs(100, 10, 10), ProxyObs(10, 10, 5)),
       cpuDemand = 0.3, cpuBudget = 1.0, drainedBytes = 0, outputBytes = 0)
-    assert(PipelineState.classify(obs, Vector(0.1, 1.0), 0.05, 0.10) == PipelineState.Congested)
+    assert(PipelineState.classify(obs, Vector(0.1, 1.0)) == PipelineState.Congested)
   }
 
   // ------------------------------------------------------------------
@@ -244,4 +316,12 @@ class JarvisRuntimeSpec extends AnyFunSuite {
     // a 1-second epoch.
     assert(perEpochMs < 10.0, s"step took $perEpochMs ms")
   }
+}
+
+object JarvisRuntimeSpec {
+  /** One executor call and what it returned. */
+  private sealed trait Call
+  private final case class Ran(p: Vector[Double], obs: EpochObs) extends Call
+  private final case class Profiled(est: ProfileEstimates) extends Call
+  private final case class Relays(byteRelays: Vector[Double]) extends Call
 }

@@ -79,6 +79,17 @@ class StepWiseAdaptSpec extends AnyFunSuite {
     assert(p(0) > 0.0, s"search should have moved to op 0: $p")
   }
 
+  test("a raise that settles at p = 1 opens the next operator's search in the same move") {
+    val t = tuner(Vector(0.9, 0.1), grid = 4) // op 1 has priority
+    var p = Vector(0.5, 0.75)
+    p = t.step(p, PipelineState.Idle, 0.5) // raise op 1: probe its top level
+    assert(p == Vector(0.5, 1.0))
+    // Utilization rose, so op 1 = 1 is feasible: it settles there, and op 0's
+    // raise search probes its midpoint in the same step.
+    p = t.step(p, PipelineState.Idle, 0.7)
+    assert(p == Vector(0.75, 1.0))
+  }
+
   test("a full idle-converge sequence terminates") {
     // Synthetic env: demand = 0.85 * p0 (op1 free); budget 0.6 -> stable
     // band is util in [0.9, 1.0] i.e. p0 in [0.63, 0.7].

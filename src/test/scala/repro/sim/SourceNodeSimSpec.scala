@@ -72,18 +72,18 @@ class SourceNodeSimSpec extends AnyFunSuite {
 
   test("classification: p=0 with budget available is idle") {
     val obs = sim(0.5).runEpoch(Vector(0.0, 0.0))
-    assert(PipelineState.classify(obs, Vector(0.0, 0.0), 0.05, 0.10) == PipelineState.Idle)
+    assert(PipelineState.classify(obs, Vector(0.0, 0.0)) == PipelineState.Idle)
   }
 
   test("classification: over-subscribed p=1 is congested") {
     val obs = sim(0.4).runEpoch(Vector(1.0, 1.0))
-    assert(PipelineState.classify(obs, Vector(1.0, 1.0), 0.05, 0.10) == PipelineState.Congested)
+    assert(PipelineState.classify(obs, Vector(1.0, 1.0)) == PipelineState.Congested)
   }
 
   test("classification: matched plan is stable") {
     // 60% budget: F full + G+R on ~65% => demand ~0.598.
     val obs = sim(0.6).runEpoch(Vector(1.0, 0.65))
-    assert(PipelineState.classify(obs, Vector(1.0, 0.65), 0.05, 0.10) == PipelineState.Stable)
+    assert(PipelineState.classify(obs, Vector(1.0, 0.65)) == PipelineState.Stable)
   }
 
   test("budget is mutable mid-run") {
