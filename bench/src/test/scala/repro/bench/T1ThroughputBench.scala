@@ -136,6 +136,6 @@ class T1ThroughputBench extends AnyFunSuite {
   test("input rates match the paper's scaled workloads") {
     assert(math.abs(setups(0).inputMbps - 26.2) < 1e-9)
     assert(math.abs(setups(2).inputMbps - 49.6) < 1e-9)
-    assert(math.abs(setups(0).bandwidthMbps - Calibration.perSourceBandwidthMbps()) < 1e-9)
+    assert(math.abs(setups(0).bandwidthMbps - Calibration.PerSourceBandwidthMbps) < 1e-9)
   }
 }

@@ -15,7 +15,7 @@ import repro.exp._
   */
 object JobSession {
   def build(name: String): SparkSession = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.adaptive.enabled", false)

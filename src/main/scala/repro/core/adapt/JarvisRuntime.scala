@@ -43,9 +43,9 @@ trait EpochExecutor {
     */
   def runProfileEpoch(): ProfileEstimates
 
-  /** Byte relay ratios observable from proxy counters at negligible cost
-    * (record counts in/out are free; CPU costs are not — those need the
-    * Profile phase). Used only to order fine-tuning priorities.
+  /** Byte relay ratios that order fine-tuning priorities, read right after
+    * each Profile epoch: the simulator's spec relays at its rate, or the
+    * relays the Spark driver measured in that epoch.
     */
   def observedByteRelays: Vector[Double]
 }
@@ -105,7 +105,7 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
   private var pVec: Vector[Double] = Vector.fill(m)(0.0)
   private var nonStableStreak = 0
   private var epochIdx = 0
-  private var tuner = new StepWiseAdapt(executor.observedByteRelays, LoadFactorGrid)
+  private var tuner: StepWiseAdapt = _ // set by adaptFrom, the only way into Adapt
   private var adaptEpochsCurrent = 0
 
   private val logBuf = Vector.newBuilder[EpochLog]
@@ -119,8 +119,9 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
   def log: Vector[EpochLog] = logBuf.result()
   def convergences: Vector[Int] = convBuf.result()
 
-  /** Snap load factors onto the fine-tuning grid, rounding e down so a
-    * correct LP solution never over-subscribes from discretization alone.
+  /** Snap load factors onto the fine-tuning grid: e rounds down, then each
+    * p_i = e_i / e_(i-1) rounds to the nearest level, which may be up: LP
+    * e = (0.45, 0.40) runs as p = (0.45, 0.9), that is e = (0.45, 0.405).
     */
   private def discretize(e: Vector[Double]): Vector[Double] = {
     val eg = e.map(x => math.floor(x * LoadFactorGrid) / LoadFactorGrid)

@@ -28,14 +28,8 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
   /** Operator indices from highest priority (lowest relay) to lowest. */
   val priorityOrder: Vector[Int] = byteRelays.zipWithIndex.sortBy { case (r, i) => (r, i) }.map(_._2)
 
-  private sealed trait Dir
-  private case object Raise extends Dir
-  private case object Lower extends Dir
+  import StepWiseAdapt._
 
-  // Invariants: lo is the largest grid level known (or assumed) feasible,
-  // hi the smallest known infeasible; the candidate being probed is `cur`.
-  private final case class Search(op: Int, dir: Dir, var lo: Int, var hi: Int, var cur: Int,
-                                  var utilBefore: Double)
   private var search: Option[Search] = None
 
   /** Forget any in-flight binary search (on convergence or re-profiling). */
@@ -132,4 +126,14 @@ final class StepWiseAdapt(byteRelays: Vector[Double], grid: Int) {
       p.updated(s.op, value(midClamped))
     }
   }
+}
+
+object StepWiseAdapt {
+  private sealed trait Dir
+  private case object Raise extends Dir
+  private case object Lower extends Dir
+  // Invariants: lo is the largest grid level known (or assumed) feasible,
+  // hi the smallest known infeasible; the candidate being probed is `cur`.
+  private final case class Search(op: Int, dir: Dir, var lo: Int, var hi: Int, var cur: Int,
+                                  var utilBefore: Double)
 }

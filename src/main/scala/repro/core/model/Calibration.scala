@@ -104,10 +104,10 @@ object Calibration {
   val LogAggRecBytes: Double = 24.0
 
   /** Effective per-query per-source bandwidth (§VI-A "Network
-    * configuration"): 10 Gbps / 250 sources / 20 queries × 10 = 20.48 Mbps.
-    * Scales with the data-rate scale factor (×10 default).
+    * configuration"): 10 Gbps / 250 sources / 20 queries × 10 = 20.48 Mbps,
+    * at the ×10 data-rate scale of the single-source experiments.
     */
-  def perSourceBandwidthMbps(scale: Double = 10.0): Double = 2.048 * scale
+  val PerSourceBandwidthMbps: Double = 2.048 * 10
 
   /** Per-query share of the stream processor's 10 Gbps link across 20
     * queries (§VI-A) — the aggregate cap in multi-source experiments.

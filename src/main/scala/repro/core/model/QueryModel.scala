@@ -76,11 +76,6 @@ final case class OperatorSpec(
       }
     case _ => inRecsPerSec * recRelay
   }
-
-  /** Effective byte relay ratio (output bytes / input bytes) at a rate. */
-  def byteRelayAt(inRecsPerSec: Double): Double =
-    if (inRecsPerSec <= 0) 0.0
-    else outRecsPerSec(inRecsPerSec) * bytesOutPerRec / (inRecsPerSec * bytesInPerRec)
 }
 
 /** A monitoring query: a chain of operators over a record stream.
@@ -119,38 +114,20 @@ final case class QuerySpec(
     */
   lazy val proxied: QuerySpec = if (numProxies == numOps) this else copy(ops = ops.take(numProxies))
 
-  /** Input record rate into operator i (0-based) when every upstream load
-    * factor is 1, for a given source input rate.
+  /** Records per second into each operator and out of the last (length
+    * M+1) when every load factor is 1, for a source input rate — the one
+    * static pass over the chain. Eq. 3's relay products, the Profile
+    * relays, the byte relays and the full-stream CPU demands all read it.
     */
-  def recsIntoOp(i: Int, inputRate: Double): Double =
-    ops.take(i).foldLeft(inputRate)((r, op) => op.outRecsPerSec(r))
-
-  /** CPU demand in cores to run operator i on its full input at `inputRate`. */
-  def opDemandCores(i: Int, inputRate: Double): Double =
-    recsIntoOp(i, inputRate) * ops(i).costSecPerRec
-
-  /** Total CPU demand in cores to run the whole query at `inputRate`. */
-  def totalDemandCores(inputRate: Double): Double =
-    ops.indices.map(opDemandCores(_, inputRate)).sum
+  def recsInto(inputRate: Double): Vector[Double] =
+    ops.scanLeft(inputRate)((r, op) => op.outRecsPerSec(r))
 
   /** Record-relay products R_k = prod_{j<k} rho_j at a rate (length M+1,
     * R_0 = 1) — the fraction of input records reaching proxy k when all
     * load factors are 1.
     */
   def recProducts(inputRate: Double): Vector[Double] =
-    ops.indices
-      .scanLeft(inputRate)((r, i) => ops(i).outRecsPerSec(r))
-      .map(r => if (inputRate <= 0) 0.0 else r / inputRate)
-      .toVector
-
-  /** Record relays rho_i = R_(i+1)/R_i at a rate (length M): the output
-    * records per input record of each operator on the stream it sees when
-    * all load factors are 1.
-    */
-  def recRelaysAt(inputRate: Double): Vector[Double] = {
-    val prods = recProducts(inputRate)
-    Vector.tabulate(numOps)(i => if (prods(i) <= 0) 0.0 else prods(i + 1) / prods(i))
-  }
+    recsInto(inputRate).map(r => if (inputRate <= 0) 0.0 else r / inputRate)
 
   /** Record flow of one epoch through the control proxies (paper §IV-A,
     * §IV-C, Fig. 5) — the one performance model behind the epoch simulator
@@ -206,7 +183,9 @@ final case class QuerySpec(
     */
   def estimates(recsPerSec: Double, budgetCores: Double): ProfileEstimates = {
     val r = math.max(recsPerSec, 1.0)
-    ProfileEstimates(ops.map(_.costSecPerRec), recRelaysAt(r), bytesAtOp, budgetCores / r)
+    val prods = recProducts(r)
+    val relays = Vector.tabulate(numOps)(i => if (prods(i) <= 0) 0.0 else prods(i + 1) / prods(i))
+    ProfileEstimates(ops.map(_.costSecPerRec), relays, bytesAtOp, budgetCores / r)
   }
 
   /** Input megabits per second at a given record rate. */
@@ -218,6 +197,10 @@ final case class QuerySpec(
   /** Byte relay ratios r_i (output bytes / input bytes) per operator at the
     * full input rate — the "relay ratio" of paper Table II.
     */
-  def byteRelays(inputRate: Double): Vector[Double] =
-    ops.indices.map(i => ops(i).byteRelayAt(recsIntoOp(i, inputRate))).toVector
+  def byteRelays(inputRate: Double): Vector[Double] = {
+    val in = recsInto(inputRate)
+    Vector.tabulate(numOps) { i =>
+      if (in(i) <= 0) 0.0 else in(i + 1) * ops(i).bytesOutPerRec / (in(i) * ops(i).bytesInPerRec)
+    }
+  }
 }

@@ -60,7 +60,8 @@ object PartitionStrategy {
   case object BestOp extends PartitionStrategy {
     val name = "Best-OP"
     def effectiveLoadFactors(q: QuerySpec, budgetCores: Double, inputRate: Double): Vector[Double] = {
-      val demands = q.ops.indices.map(q.opDemandCores(_, inputRate))
+      val in = q.recsInto(inputRate)
+      val demands = q.ops.indices.map(i => in(i) * q.ops(i).costSecPerRec)
       val cumulative = demands.scanLeft(0.0)(_ + _).drop(1)
       val k = cumulative.lastIndexWhere(_ <= budgetCores + 1e-12) + 1
       Vector.tabulate(q.numOps)(i => if (i < k) 1.0 else 0.0)
@@ -74,7 +75,7 @@ object PartitionStrategy {
   case object LbDp extends PartitionStrategy {
     val name = "LB-DP"
     def effectiveLoadFactors(q: QuerySpec, budgetCores: Double, inputRate: Double): Vector[Double] = {
-      val full = q.totalDemandCores(inputRate)
+      val full = q.flow(Vector.fill(q.numOps)(1.0), inputRate, Double.PositiveInfinity).cpuDemand
       val f = if (full <= 0) 1.0 else math.min(1.0, budgetCores / full)
       Vector.fill(q.numOps)(f)
     }

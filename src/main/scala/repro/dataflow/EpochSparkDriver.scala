@@ -39,6 +39,8 @@ final class EpochSparkDriver(
 
   private val proxied = chain.spec.proxied
   private var epoch = 0
+  /** The last epoch's measured spec and rate; calibrated before the first. */
+  private var measured: (QuerySpec, Double) = (proxied, proxied.inputRecsPerSec)
   private var lastResultDf: Option[DataFrame] = None
   private var lastBatchDf: Option[DataFrame] = None
 
@@ -48,16 +50,18 @@ final class EpochSparkDriver(
   def lastResult: Option[DataFrame] = lastResultDf
   def lastBatch: Option[DataFrame] = lastBatchDf
 
-  def observedByteRelays: Vector[Double] =
-    proxied.byteRelays(math.max(proxied.inputRecsPerSec, 1.0))
+  def observedByteRelays: Vector[Double] = {
+    val (spec, rate) = measured
+    spec.byteRelays(math.max(rate, 1.0))
+  }
 
   /** Run the next batch's plan at load factors `p` once, keep its result,
     * and return the proxied spec with the relays measured in that run, and
-    * N_0. The counters are read from the run's own execution, not from an
-    * `Observation`, which waits for the asynchronous listener bus. A
-    * measured relay above 1 (a join that fans out) is clamped to 1: the
-    * model's relays are fractions, and this is the one place measured
-    * relays enter it.
+    * N_0; that spec at N_0 per epoch becomes [[measured]]. The counters are
+    * read from the run's own execution, not from an `Observation`, which
+    * waits for the asynchronous listener bus. A measured relay above 1 (a
+    * join that fans out) is clamped to 1: the model's relays are fractions,
+    * and this is the one place measured relays enter it.
     */
   private def execute(p: Vector[Double]): (QuerySpec, Double) = {
     val batch = batchFor(epoch)
@@ -69,7 +73,9 @@ final class EpochSparkDriver(
     val ops = proxied.ops.zipWithIndex.map { case (op, i) =>
       if (i < chain.stages.length && n(i) > 0) op.copy(recRelay = math.min(1.0, n(i + 1) / n(i))) else op
     }
-    (proxied.copy(ops = ops), n(0))
+    val spec = proxied.copy(ops = ops)
+    measured = (spec, n(0) / Calibration.EpochSeconds)
+    (spec, n(0))
   }
 
   def runEpoch(p: Vector[Double]): EpochObs = {

@@ -17,9 +17,9 @@ object Exp1Throughput {
   final case class QuerySetup(spec: QuerySpec, inputMbps: Double, bandwidthMbps: Double)
 
   def setups: Vector[QuerySetup] = Vector(
-    QuerySetup(Calibration.s2sProbe, Calibration.PingmeshMbps, Calibration.perSourceBandwidthMbps()),
-    QuerySetup(Calibration.t2tProbe(), Calibration.PingmeshMbps, Calibration.perSourceBandwidthMbps()),
-    QuerySetup(Calibration.logAnalytics, Calibration.LogMbps, Calibration.perSourceBandwidthMbps()),
+    QuerySetup(Calibration.s2sProbe, Calibration.PingmeshMbps, Calibration.PerSourceBandwidthMbps),
+    QuerySetup(Calibration.t2tProbe(), Calibration.PingmeshMbps, Calibration.PerSourceBandwidthMbps),
+    QuerySetup(Calibration.logAnalytics, Calibration.LogMbps, Calibration.PerSourceBandwidthMbps),
   )
 
   def run(setup: QuerySetup): Vector[ThroughputResult] =

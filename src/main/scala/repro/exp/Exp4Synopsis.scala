@@ -23,7 +23,7 @@ object Exp4Synopsis {
     Vector(20, 100).map { b =>
       val r = ClusterSim.singleSourceThroughput(
         Calibration.s2sProbe, PartitionStrategy.Jarvis, b,
-        Calibration.PingmeshMbps, Calibration.perSourceBandwidthMbps())
+        Calibration.PingmeshMbps, Calibration.PerSourceBandwidthMbps)
       JarvisRow(b, 100.0 * r.netMbps / Calibration.PingmeshMbps)
     }
 

@@ -179,6 +179,12 @@ class JarvisRuntimeSpec extends AnyFunSuite {
     }
   }
 
+  test("the runtime asks its executor nothing before its first step") {
+    val rec = new Recording(s2sSim(0.5))
+    new JarvisRuntime(rec)
+    assert(rec.calls.isEmpty, s"calls=${rec.calls}")
+  }
+
   test("control decisions are a pure function of what the executor returned") {
     def budget(b: Double): SourceNodeSim => Unit = _.budgetCores = b
     def rate(r: Double): SourceNodeSim => Unit = _.inputRecsPerSec = r

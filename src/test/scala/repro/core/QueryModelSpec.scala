@@ -10,6 +10,14 @@ class QueryModelSpec extends AnyFunSuite {
   private val t2t = Calibration.t2tProbe()
   private val log = Calibration.logAnalytics
 
+  /** CPU demand in cores of each operator on its full input at `rate`. */
+  private def demands(q: QuerySpec, rate: Double): Vector[Double] = {
+    val in = q.recsInto(rate)
+    q.ops.indices.map(i => in(i) * q.ops(i).costSecPerRec).toVector
+  }
+
+  private def oneOp(op: OperatorSpec) = QuerySpec(op.name, Vector(op), op.bytesInPerRec, 1000)
+
   // ------------------------------------------------------------------
   // OperatorSpec
   // ------------------------------------------------------------------
@@ -40,12 +48,12 @@ class QueryModelSpec extends AnyFunSuite {
 
   test("byte relay accounts for record-size change") {
     val op = OperatorSpec("J", OpKind.Join, 1e-6, 1.0, 86, 20)
-    assert(math.abs(op.byteRelayAt(1000) - 20.0 / 86.0) < 1e-9)
+    assert(math.abs(oneOp(op).byteRelays(1000)(0) - 20.0 / 86.0) < 1e-9)
   }
 
   test("byte relay of an empty stream is zero") {
     val op = OperatorSpec("F", OpKind.Filter, 1e-6, 0.86, 86, 86)
-    assert(op.byteRelayAt(0.0) == 0.0)
+    assert(oneOp(op).byteRelays(0.0)(0) == 0.0)
   }
 
   test("invalid relay ratio is rejected") {
@@ -60,8 +68,10 @@ class QueryModelSpec extends AnyFunSuite {
 
   test("recsIntoOp composes relays along the chain") {
     val rate = s2s.inputRecsPerSec
-    assert(math.abs(s2s.recsIntoOp(0, rate) - rate) < 1e-6)
-    assert(math.abs(s2s.recsIntoOp(1, rate) - rate * 0.86) < 1e-6)
+    val in = s2s.recsInto(rate)
+    assert(in.length == s2s.numOps + 1)
+    assert(math.abs(in(0) - rate) < 1e-6)
+    assert(math.abs(in(1) - rate * 0.86) < 1e-6)
   }
 
   test("recProducts starts at 1 and is non-increasing for reducing chains") {
@@ -91,21 +101,21 @@ class QueryModelSpec extends AnyFunSuite {
   }
 
   test("S2SProbe F costs 13% of a core at full rate") {
-    assert(math.abs(s2s.opDemandCores(0, s2s.inputRecsPerSec) - 0.13) < 1e-6)
+    assert(math.abs(demands(s2s, s2s.inputRecsPerSec)(0) - 0.13) < 1e-6)
   }
 
   test("S2SProbe full query needs ~85% of a core") {
-    val total = s2s.totalDemandCores(s2s.inputRecsPerSec)
+    val total = demands(s2s, s2s.inputRecsPerSec).sum
     assert(math.abs(total - 0.85) < 1e-6, s"total=$total")
   }
 
   test("T2TProbe total demand exceeds one core at reference table size") {
-    val total = t2t.totalDemandCores(t2t.inputRecsPerSec)
+    val total = demands(t2t, t2t.inputRecsPerSec).sum
     assert(total > 1.0, s"total=$total")
   }
 
   test("T2TProbe F+J alone exceeds one core (Best-OP can never place J)") {
-    val fj = t2t.opDemandCores(0, t2t.inputRecsPerSec) + t2t.opDemandCores(1, t2t.inputRecsPerSec)
+    val fj = demands(t2t, t2t.inputRecsPerSec).take(2).sum
     assert(fj > 1.0, s"F+J=$fj")
   }
 
@@ -125,7 +135,7 @@ class QueryModelSpec extends AnyFunSuite {
   }
 
   test("LogAnalytics full query uses ~31% of a core") {
-    val total = log.totalDemandCores(log.inputRecsPerSec)
+    val total = demands(log, log.inputRecsPerSec).sum
     assert(math.abs(total - 0.31) < 1e-6, s"total=$total")
   }
 
@@ -136,7 +146,22 @@ class QueryModelSpec extends AnyFunSuite {
   }
 
   test("per-query per-source bandwidth is 2.048 Mbps x scale") {
-    assert(math.abs(Calibration.perSourceBandwidthMbps(10) - 20.48) < 1e-9)
-    assert(math.abs(Calibration.perSourceBandwidthMbps(1) - 2.048) < 1e-9)
+    assert(math.abs(Calibration.PerSourceBandwidthMbps - 20.48) < 1e-9)
+  }
+
+  // ------------------------------------------------------------------
+  // The one static pass and the flow model
+  // ------------------------------------------------------------------
+
+  test("flow at full load factors agrees exactly with recsInto") {
+    val specs = Seq(s2s, log, Calibration.logP95) ++ Seq(50L, 500L, 1000L).map(Calibration.t2tProbe)
+    for (q <- specs; rate <- Seq(0.0, 1.0, q.inputRecsPerSec, 10 * q.inputRecsPerSec)) {
+      val what = s"${q.name} at $rate rec/s"
+      val in = q.recsInto(rate)
+      val obs = q.flow(Vector.fill(q.numOps)(1.0), rate, Double.PositiveInfinity)
+      assert(obs.proxies.map(_.incoming) == in.take(q.numOps), what)
+      assert(obs.cpuDemand == q.ops.indices.foldLeft(0.0)((d, i) => d + in(i) * q.ops(i).costSecPerRec), what)
+      assert(obs.outputBytes == in(q.numOps) * q.ops.last.bytesOutPerRec, what)
+    }
   }
 }

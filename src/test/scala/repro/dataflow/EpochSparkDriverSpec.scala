@@ -138,6 +138,17 @@ class EpochSparkDriverSpec extends SparkSpec {
     assert(est.recRelays(0) > 0.78 && est.recRelays(0) < 0.94, s"relay=${est.recRelays(0)}")
   }
 
+  test("after a Profile epoch the driver reports the byte relays it measured, not the spec's") {
+    val batch = batchFor(0).withColumn("errCode", (col("recId") % 2).cast("int"))
+    val d = new EpochSparkDriver(spark, testSpec, _ => batch, 1.0)
+    assert(d.observedByteRelays == testSpec.byteRelays(RecsPerEpoch), "before the first epoch")
+    d.runProfileEpoch()
+    val measured = Queries.pingFilter(batch).count().toDouble / batch.count()
+    val relay = d.observedByteRelays(0)
+    assert(math.abs(measured - 0.5) < 0.01, s"measured=$measured")
+    assert(math.abs(relay - measured) < 1e-12, s"relay=$relay measured=$measured")
+  }
+
   test("the control loop converges on Spark and stays lossless throughout") {
     convergesLosslessly(s2s, budget = 0.9)
   }

@@ -11,7 +11,7 @@ class ClusterSimSpec extends AnyFunSuite {
   private val s2s = Calibration.s2sProbe
   private val t2t = Calibration.t2tProbe()
   private val log = Calibration.logAnalytics
-  private val Bw = Calibration.perSourceBandwidthMbps()
+  private val Bw = Calibration.PerSourceBandwidthMbps
 
   private def tput(q: repro.core.model.QuerySpec, s: PartitionStrategy, budget: Int,
                    in: Double = Calibration.PingmeshMbps) =
